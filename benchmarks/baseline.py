@@ -27,9 +27,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from engine_cache import FEATURE_SETS, MODEL_FACTORIES  # noqa: E402
+from engine_cache import FEATURE_SETS  # noqa: E402
 
+from repro.bench import fan_out, write_snapshot  # noqa: E402
 from repro.cluster import Cluster  # noqa: E402
+from repro.config import TABLE1_MODELS  # noqa: E402
 from repro.core import build_workload, engine_for  # noqa: E402
 from repro.metrics import MetricsRegistry, overlap_efficiency  # noqa: E402
 
@@ -53,7 +55,7 @@ COUNTERS = (
 
 
 def _capture_one(model: str, mode: str) -> dict:
-    config = MODEL_FACTORIES[model](EXPERTS)
+    config = TABLE1_MODELS[model](EXPERTS)
     cluster = Cluster(MACHINES)
     registry = MetricsRegistry()
     engine = engine_for(
@@ -76,31 +78,21 @@ def _capture_one(model: str, mode: str) -> dict:
     return metrics
 
 
-def _capture_job(key: str) -> tuple:
-    model, mode = key.split("/", 1)
-    return key, _capture_one(model, mode)
+def _capture_job(key: str) -> dict:
+    return _capture_one(*key.split("/", 1))
 
 
 def capture(jobs: int = 1) -> dict:
     keys = [
         f"{model}/{mode}"
-        for model in sorted(MODEL_FACTORIES)
+        for model in sorted(TABLE1_MODELS)
         for mode in MODES
     ]
-    jobs = max(1, min(int(jobs), len(keys)))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(_capture_job, keys))
-    else:
-        results = dict(_capture_job(key) for key in keys)
-    runs = {key: results[key] for key in keys}
     return {
         "schema": SCHEMA,
         "config": {"experts": EXPERTS, "machines": MACHINES,
                    "features": "full"},
-        "runs": runs,
+        "runs": dict(zip(keys, fan_out(_capture_job, keys, jobs))),
     }
 
 
@@ -149,7 +141,7 @@ def main(argv=None) -> int:
 
     current = capture(jobs=args.jobs)
     if args.write:
-        args.path.write_text(json.dumps(current, indent=1, sort_keys=True) + "\n")
+        write_snapshot(args.path, current)
         print(f"baseline written to {args.path} "
               f"({len(current['runs'])} runs)")
         return 0

@@ -11,21 +11,10 @@ import functools
 from pathlib import Path
 
 from repro.cluster import Cluster
-from repro.config import (
-    moe_bert,
-    moe_gpt,
-    moe_transformer_xl,
-    pr_moe_transformer_xl,
-)
+from repro.config import TABLE1_MODELS, pr_moe_transformer_xl
 from repro.core import JanusFeatures, build_workload, engine_for
 
 REPORT_DIR = Path(__file__).parent / "reports"
-
-MODEL_FACTORIES = {
-    "MoE-BERT": moe_bert,
-    "MoE-GPT": moe_gpt,
-    "MoE-Transformer-xl": moe_transformer_xl,
-}
 
 FEATURE_SETS = {
     "base": JanusFeatures(topology_aware=False, prefetch=False),
@@ -37,7 +26,7 @@ FEATURE_SETS = {
 
 @functools.lru_cache(maxsize=None)
 def _workload(model: str, experts: int, machines: int, overrides: tuple):
-    config = MODEL_FACTORIES[model](experts)
+    config = TABLE1_MODELS[model](experts)
     if overrides:
         config = config.scaled(**dict(overrides))
     return config, build_workload(config, Cluster(machines))

@@ -12,8 +12,9 @@ speedup; topology awareness and prefetch each add an incremental gain on
 top; every model lands in the 1.2x-2.1x band.
 """
 
-from engine_cache import MODEL_FACTORIES, run_model, write_report
+from engine_cache import run_model, write_report
 from repro.analysis import format_table
+from repro.config import TABLE1_MODELS
 
 VARIANTS = [
     ("Data-Centric", "base"),
@@ -24,7 +25,7 @@ VARIANTS = [
 
 def run_ablation():
     results = {}
-    for model in MODEL_FACTORIES:
+    for model in TABLE1_MODELS:
         baseline = run_model(model, "expert-centric")
         results[model] = {"baseline": baseline}
         for label, features in VARIANTS:

@@ -10,14 +10,15 @@ here) beats the expert-centric baseline on every model by a factor in the
 paper's band.
 """
 
-from engine_cache import MODEL_FACTORIES, run_model, write_report
+from engine_cache import run_model, write_report
 from repro.analysis import format_speedup_bars, format_table
+from repro.config import TABLE1_MODELS
 from repro.core import gain_ratio
 
 
 def run_end_to_end():
     results = {}
-    for model in MODEL_FACTORIES:
+    for model in TABLE1_MODELS:
         results[model] = (
             run_model(model, "expert-centric"),
             run_model(model, "unified"),
@@ -33,7 +34,7 @@ def test_fig14_end_to_end(benchmark):
     for model, (tutel, janus) in results.items():
         speedup = tutel.seconds / janus.seconds
         speedups[model] = speedup
-        config = MODEL_FACTORIES[model](32)
+        config = TABLE1_MODELS[model](32)
         ratio = gain_ratio(
             config.batch_size, config.seq_len, config.top_k, 4,
             config.hidden_dim, 1,

@@ -6,15 +6,16 @@ All-to-All occupies 38.5% - 68.4% of the iteration.  This bench regenerates
 the same bars from the timed expert-centric engine.
 """
 
-from engine_cache import MODEL_FACTORIES, run_model, write_report
+from engine_cache import run_model, write_report
 from repro.analysis import format_table
+from repro.config import TABLE1_MODELS
 
 SETTINGS = [(16, 2), (32, 4)]
 
 
 def run_all():
     results = {}
-    for model in MODEL_FACTORIES:
+    for model in TABLE1_MODELS:
         for experts, machines in SETTINGS:
             results[(model, experts)] = run_model(
                 model, "expert-centric", experts=experts, machines=machines

@@ -10,8 +10,9 @@ volume, GiB) for the three models at 16 experts / 2 machines and 32 experts
 
 import pytest
 
-from engine_cache import MODEL_FACTORIES, write_report
+from engine_cache import write_report
 from repro.analysis import format_table, table1
+from repro.config import TABLE1_MODELS
 
 PAPER_VALUES = {
     # (model, experts): (ec_gib, dc_gib)
@@ -25,7 +26,7 @@ PAPER_VALUES = {
 
 
 def build_rows():
-    return table1(MODEL_FACTORIES)
+    return table1(TABLE1_MODELS)
 
 
 def test_table1_traffic(benchmark):

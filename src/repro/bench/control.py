@@ -13,7 +13,7 @@ iterations, should win both.
 Like the schedules suite this capture gates on two axes:
 
 * wall-clock medians against ``benchmarks/BENCH_control.json`` with the
-  same calibration rescaling as :mod:`repro.bench.speed`, and
+  shared calibration rescaling, and
 * the **structural control win**, a pure simulated-time fact: the
   adaptive run's total simulated seconds must beat *every* static
   paradigm's total on the same drift trajectory.  That holds on any
@@ -23,23 +23,9 @@ Like the schedules suite this capture gates on two axes:
 
 from __future__ import annotations
 
-import statistics
-import sys
-import time
-from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
-import numpy as np
-
-from .speed import calibrate, check_snapshot
-
-CONTROL_SCHEMA = "janus-repro/bench-control/v1"
-
-DEFAULT_CONTROL_SNAPSHOT_PATH = (
-    Path(__file__).resolve().parents[3]
-    / "benchmarks"
-    / "BENCH_control.json"
-)
+from .harness import SNAPSHOT_DIR, Suite, beats, column, rate, ratio, sample
 
 # The crossover shape: batch 64 puts the 32-expert block's Eq. 1 gain
 # ratio near 1 (R = 1.33 on two machines), where the measured ordering
@@ -72,7 +58,7 @@ class ControlBenchConfig(NamedTuple):
         return "adaptive" if self.adaptive else self.mode
 
 
-CONTROL_FULL_CONFIGS: Tuple[ControlBenchConfig, ...] = (
+FULL_CONFIGS: Tuple[ControlBenchConfig, ...] = (
     ControlBenchConfig("data-centric"),
     ControlBenchConfig("expert-centric"),
     ControlBenchConfig("pipelined-ec"),
@@ -82,7 +68,7 @@ CONTROL_FULL_CONFIGS: Tuple[ControlBenchConfig, ...] = (
 )
 
 # CI smoke subset: the adaptive run against the strongest static.
-CONTROL_QUICK_CONFIGS: Tuple[ControlBenchConfig, ...] = (
+QUICK_CONFIGS: Tuple[ControlBenchConfig, ...] = (
     ControlBenchConfig("microbatch-ec"),
     ControlBenchConfig("auto", adaptive=True),
 )
@@ -123,113 +109,71 @@ def time_control_config(spec: ControlBenchConfig, runs: int = 1) -> Dict:
     ``_ITERATIONS``-step drift trajectory, so every config — static or
     adaptive — sees bit-identical workload evolution.
     """
-    samples: List[float] = []
-    sim_seconds = 0.0
-    per_iteration: List[float] = []
-    events = 0
-    switches = 0
-    for _ in range(runs):
-        engine, controller = _build_engine(spec)
-        start = time.perf_counter()
-        results = engine.run(_ITERATIONS)
-        samples.append(time.perf_counter() - start)
-        sim_seconds = sum(result.seconds for result in results)
-        per_iteration = [
+    timing, (results, controller) = sample(
+        runs,
+        lambda built: (built[0].run(_ITERATIONS), built[1]),
+        setup=lambda: _build_engine(spec),
+    )
+    events = sum(result.sim_events for result in results)
+    return {
+        **timing,
+        "sim_seconds": sum(result.seconds for result in results),
+        "per_iteration_ms": [
             round(result.seconds * 1e3, 3) for result in results
-        ]
-        events = sum(result.sim_events for result in results)
-        switches = controller.switch_count
-    median = statistics.median(samples)
-    return {
-        "median_s": median,
-        "best_s": min(samples),
-        "samples": [round(sample, 6) for sample in samples],
-        "sim_seconds": sim_seconds,
-        "per_iteration_ms": per_iteration,
+        ],
         "events": events,
-        "events_per_s": events / median if median > 0 else 0.0,
-        "switches": switches,
+        "events_per_s": rate(events, timing),
+        "switches": controller.switch_count,
     }
 
 
-def run_control_suite(
-    configs: Sequence[ControlBenchConfig] = CONTROL_FULL_CONFIGS,
-    runs: int = 1,
-    calibration: Optional[float] = None,
-) -> Dict:
-    """Time every control config and assemble the capture."""
+def _config(configs, runs: int) -> Dict:
     return {
-        "schema": CONTROL_SCHEMA,
-        "config": {
-            "model": "MoE-GPT",
-            "experts": _EXPERTS,
-            "batch_size": _BATCH,
-            "machines": _MACHINES,
-            "iterations": _ITERATIONS,
-            "auto_threshold": _AUTO_THRESHOLD,
-            "drift": dict(_DRIFT),
-            "control": dict(_CONTROL),
-            "runs": runs,
-        },
-        "calibration_s": calibrate() if calibration is None else calibration,
-        "host": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-        },
-        "runs": {
-            spec.key: time_control_config(spec, runs=runs)
-            for spec in configs
-        },
+        "model": "MoE-GPT",
+        "experts": _EXPERTS,
+        "batch_size": _BATCH,
+        "machines": _MACHINES,
+        "iterations": _ITERATIONS,
+        "auto_threshold": _AUTO_THRESHOLD,
+        "drift": dict(_DRIFT),
+        "control": dict(_CONTROL),
+        "runs": runs,
     }
 
 
-def check_control_wins(current: Dict) -> List[str]:
+def check_control_wins(current: Dict, snapshot: Dict) -> List[str]:
     """Structural gate: adaptive must beat every static in simulated time."""
-    problems = []
     runs = current.get("runs", {})
-    adaptive = runs.get("adaptive")
-    if adaptive is None:
+    if "adaptive" not in runs:
         return ["capture has no 'adaptive' run to gate on"]
-    fast = adaptive["sim_seconds"]
-    for key, entry in runs.items():
-        if key == "adaptive":
-            continue
-        slow = entry["sim_seconds"]
-        if fast >= slow:
-            problems.append(
-                f"adaptive: simulated {fast * 1e3:.2f} ms total does not "
-                f"beat static {key} ({slow * 1e3:.2f} ms total)"
-            )
-    return problems
+    return [
+        problem
+        for key in runs
+        if key != "adaptive"
+        for problem in beats(runs, "adaptive", key, "sim_seconds")
+    ]
 
 
-def check_control_snapshot(
-    current: Dict, snapshot: Dict, tolerance: float = 0.25
-) -> List[str]:
-    """Wall-clock regression gate (calibration-rescaled) + structural win."""
-    return check_control_wins(current) + check_snapshot(
-        current, snapshot, tolerance=tolerance
-    )
-
-
-def format_control_suite(current: Dict) -> str:
-    """Human-readable table of a capture, with speedups vs adaptive."""
-    runs = current.get("runs", {})
-    base = runs.get("adaptive", {}).get("sim_seconds")
-    header = (
-        f"{'config':<16} {'sim ms total':>13} {'vs adaptive':>12} "
-        f"{'switches':>9} {'wall ms':>9} {'events':>9}"
-    )
-    lines = [header, "-" * len(header)]
-    for key, entry in runs.items():
-        sim = entry["sim_seconds"]
-        ratio = f"{sim / base:.2f}x" if base and base > 0 else "-"
-        lines.append(
-            f"{key:<16} {sim * 1e3:>13.2f} {ratio:>12} "
-            f"{entry.get('switches', 0):>9d} "
-            f"{entry['median_s'] * 1e3:>9.1f} {entry['events']:>9d}"
-        )
-    lines.append(
-        f"calibration: {current.get('calibration_s', 0.0) * 1e3:.1f} ms"
-    )
-    return "\n".join(lines)
+SUITE = Suite(
+    name="control",
+    summary="adaptive controller vs static paradigms under drift",
+    schema="janus-repro/bench-control/v1",
+    path=SNAPSHOT_DIR / "BENCH_control.json",
+    full=FULL_CONFIGS,
+    quick=QUICK_CONFIGS,
+    # Every config is a full multi-iteration drift schedule, so one run
+    # per config is already a stable median.
+    runs=(1, 1),
+    measure=time_control_config,
+    config=_config,
+    columns=(
+        column("sim ms total", "sim_seconds", ".2f", 1e3),
+        ("vs adaptive", lambda entry, runs: ratio(
+            entry, runs.get("adaptive"), "sim_seconds"
+        )),
+        column("switches", "switches", "d"),
+        column("wall ms", "median_s", ".1f", 1e3),
+        column("events", "events", "d"),
+    ),
+    gates=(check_control_wins,),
+)

@@ -1,44 +1,27 @@
-"""Wall-clock timing of the numerical runtime (trainer steps).
+"""Wall-clock timing of the numerical runtime (``--suite runtime``).
 
-``repro bench --suite runtime`` is the host-time counterpart of the
-simulator bench in :mod:`repro.bench.speed`, pointed at the *numerical*
-half of the repo: the tensorlib autograd engine driving the
+The host-time counterpart of the simulator suite, pointed at the
+*numerical* half of the repo: the tensorlib autograd engine driving the
 expert-centric / data-centric executors through full
 :class:`~repro.runtime.trainer.DistributedTrainer` steps.  Each config
 builds a distributed model once, runs warm-up steps (which also fill the
 data-centric replica pool), then times ``runs`` steady-state steps and
 reports the median host-seconds per step plus routed token-slots per
-second.
-
-The capture shares the calibration-rescaled regression gate of the
-simulator bench (:func:`repro.bench.speed.check_snapshot` is schema
-compatible); the committed snapshot lives in
-``benchmarks/BENCH_runtime.json`` and carries the perf-trajectory
-``history`` list.
+second.  The committed snapshot is ``benchmarks/BENCH_runtime.json``.
 
 Timing is float64 by default — the dtype the equivalence battery pins —
 and ``dtype="float32"`` is an opt-in for experiments; float32 captures
-must not be compared against a float64 snapshot.
+are never comparable to a float64 snapshot, which the dtype gate
+enforces.
 """
 
 from __future__ import annotations
 
-import statistics
-import sys
-import time
-from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .speed import _cpu_count, calibrate
-
-RUNTIME_SCHEMA = "janus-repro/bench-runtime/v1"
-
-# src/repro/bench/runtime_speed.py -> repo root / benchmarks
-DEFAULT_RUNTIME_SNAPSHOT_PATH = (
-    Path(__file__).resolve().parents[3] / "benchmarks" / "BENCH_runtime.json"
-)
+from .harness import SNAPSHOT_DIR, Suite, column, rate, sample
 
 _DTYPES = ("float64", "float32")
 
@@ -56,62 +39,47 @@ class RuntimeBenchConfig(NamedTuple):
         return f"{self.model}/{self.mode}"
 
 
-_RUNTIME_MODES = ("expert-centric", "data-centric")
-
-RUNTIME_FULL_CONFIGS: Tuple[RuntimeBenchConfig, ...] = tuple(
+FULL_CONFIGS: Tuple[RuntimeBenchConfig, ...] = tuple(
     RuntimeBenchConfig(model, mode)
     for model in ("trainer-small", "trainer-moe-gpt")
-    for mode in _RUNTIME_MODES
+    for mode in ("expert-centric", "data-centric")
 )
 
 # CI smoke subset: one steady-state trainer config (data-centric exercises
 # the replica pool as well as the sorted dispatch path).
-RUNTIME_QUICK_CONFIGS: Tuple[RuntimeBenchConfig, ...] = (
+QUICK_CONFIGS: Tuple[RuntimeBenchConfig, ...] = (
     RuntimeBenchConfig("trainer-moe-gpt", "data-centric"),
 )
 
 
-def _runtime_model_config(name: str):
-    """Numerics-scale model shapes.
+# Numerics-scale model shapes.  ``trainer-moe-gpt`` keeps MoE-GPT's block
+# layout (causal decoder, one late MoE block, top_k=4) at a width the
+# float64 numpy engine can step in tens of milliseconds; ``trainer-small``
+# is the smoke shape.
+_MODEL_SHAPES = {
+    "trainer-small": dict(
+        batch_size=4, seq_len=8, top_k=2, hidden_dim=32, num_blocks=2,
+        experts_per_block={1: 8}, num_heads=4, vocab_size=128,
+    ),
+    "trainer-moe-gpt": dict(
+        batch_size=4, seq_len=32, top_k=4, hidden_dim=64, num_blocks=4,
+        experts_per_block={3: 16}, num_heads=8, vocab_size=256,
+    ),
+}
 
-    ``trainer-moe-gpt`` keeps MoE-GPT's block layout (causal decoder, one
-    late MoE block, top_k=4) at a width the float64 numpy engine can step
-    in tens of milliseconds; ``trainer-small`` is the smoke shape.
-    """
+
+def _runtime_model_config(name: str):
     from ..config import ModelConfig
 
-    if name == "trainer-small":
-        return ModelConfig(
-            name="trainer-small",
-            batch_size=4,
-            seq_len=8,
-            top_k=2,
-            hidden_dim=32,
-            num_blocks=2,
-            experts_per_block={1: 8},
-            num_heads=4,
-            vocab_size=128,
-            causal=True,
-        )
-    if name == "trainer-moe-gpt":
-        return ModelConfig(
-            name="trainer-moe-gpt",
-            batch_size=4,
-            seq_len=32,
-            top_k=4,
-            hidden_dim=64,
-            num_blocks=4,
-            experts_per_block={3: 16},
-            num_heads=8,
-            vocab_size=256,
-            causal=True,
-        )
-    raise ValueError(f"unknown runtime bench model: {name!r}")
+    if name not in _MODEL_SHAPES:
+        raise ValueError(f"unknown runtime bench model: {name!r}")
+    return ModelConfig(name=name, causal=True, **_MODEL_SHAPES[name])
 
 
 def _build_trainer(spec: RuntimeBenchConfig):
     from ..runtime import DistributedMoETransformer, DistributedTrainer, RankLayout
     from ..tensorlib import Adam
+    from ..workloads import target_batches, token_batches
 
     config = _runtime_model_config(spec.model)
     layout = RankLayout(spec.machines, spec.workers)
@@ -122,15 +90,8 @@ def _build_trainer(spec: RuntimeBenchConfig):
     )
     trainer = DistributedTrainer(model, Adam(model.parameters(), lr=1e-3))
     rng = np.random.default_rng(1)
-    shape = (config.batch_size, config.seq_len)
-    batches = [
-        rng.integers(0, config.vocab_size, size=shape)
-        for _ in range(layout.world_size)
-    ]
-    targets = [
-        rng.integers(0, config.vocab_size, size=shape)
-        for _ in range(layout.world_size)
-    ]
+    batches = token_batches(config, layout.world_size, rng=rng)
+    targets = target_batches(config, layout.world_size, rng=rng)
     return config, layout, trainer, batches, targets
 
 
@@ -155,75 +116,51 @@ def time_runtime_config(
         config, layout, trainer, batches, targets = _build_trainer(spec)
         for _ in range(max(0, warmup)):
             trainer.step(batches, targets)
-        samples: List[float] = []
-        for _ in range(runs):
-            start = time.perf_counter()
-            trainer.step(batches, targets)
-            samples.append(time.perf_counter() - start)
-    median = statistics.median(samples)
+        timing, _ = sample(runs, lambda _: trainer.step(batches, targets))
     # Routed token-slots per step across all workers: B*S*k per worker.
     slots = config.tokens_per_worker * layout.world_size
     return {
-        "median_s": median,
-        "best_s": min(samples),
-        "samples": [round(sample, 6) for sample in samples],
+        **timing,
         "token_slots": slots,
-        "token_slots_per_s": slots / median if median > 0 else 0.0,
+        "token_slots_per_s": rate(slots, timing),
         "loss": trainer.last_loss,
     }
 
 
-def run_runtime_suite(
-    configs: Sequence[RuntimeBenchConfig] = RUNTIME_FULL_CONFIGS,
-    runs: int = 3,
-    warmup: int = 1,
-    dtype: str = "float64",
-    calibration: Optional[float] = None,
-) -> Dict:
-    """Time every config and assemble the bench-runtime capture.
-
-    Trainer steps all run inline: unlike the simulator suite the runtime
-    configs are few and short, so process fan-out would mostly measure
-    interpreter start-up.
-    """
-    suite_start = time.perf_counter()
-    runs_section = {
-        spec.key: time_runtime_config(spec, runs=runs, warmup=warmup, dtype=dtype)
-        for spec in configs
-    }
-    wall_s = time.perf_counter() - suite_start
-    return {
-        "schema": RUNTIME_SCHEMA,
-        "config": {"runs": runs, "warmup": warmup, "dtype": dtype},
-        "calibration_s": calibrate() if calibration is None else calibration,
-        "host": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "cpus": _cpu_count(),
-        },
-        "runs": runs_section,
-        "wall_s": wall_s,
-    }
+def _config(configs, runs: int, dtype: str = "float64") -> Dict:
+    return {"runs": runs, "warmup": 1, "dtype": dtype}
 
 
-def format_runtime_suite(current: Dict) -> str:
-    """Human-readable table of a runtime capture."""
-    lines = []
-    header = (
-        f"{'config':<34} {'median ms/step':>15} {'best':>9} "
-        f"{'slots':>7} {'slots/s':>10}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for key, entry in current.get("runs", {}).items():
-        lines.append(
-            f"{key:<34} {entry['median_s'] * 1e3:>15.1f} "
-            f"{entry['best_s'] * 1e3:>9.1f} {entry['token_slots']:>7d} "
-            f"{entry['token_slots_per_s']:>10.0f}"
-        )
-    lines.append(
-        f"dtype: {current.get('config', {}).get('dtype', 'float64')}  "
-        f"calibration: {current.get('calibration_s', 0.0) * 1e3:.1f} ms "
-        f"(host {current.get('host', {}).get('cpus', '?')} cpu(s))"
-    )
-    return "\n".join(lines)
+def check_dtype(current: Dict, snapshot: Dict) -> List[str]:
+    """float32 runs ~2x faster; comparing across dtypes would either mask
+    or fake a regression."""
+    cur_dtype = current.get("config", {}).get("dtype")
+    snap_dtype = snapshot.get("config", {}).get("dtype")
+    if cur_dtype == snap_dtype:
+        return []
+    return [
+        f"dtype mismatch: capture is {cur_dtype}, snapshot is "
+        f"{snap_dtype} (timings are not comparable)"
+    ]
+
+
+SUITE = Suite(
+    name="runtime",
+    summary="numerical trainer steps",
+    schema="janus-repro/bench-runtime/v1",
+    path=SNAPSHOT_DIR / "BENCH_runtime.json",
+    full=FULL_CONFIGS,
+    quick=QUICK_CONFIGS,
+    runs=(3, 2),
+    measure=time_runtime_config,
+    config=_config,
+    columns=(
+        column("median ms/step", "median_s", ".1f", 1e3),
+        column("best", "best_s", ".1f", 1e3),
+        column("slots", "token_slots", "d"),
+        column("slots/s", "token_slots_per_s", ".0f"),
+    ),
+    gates=(check_dtype,),
+    options=("dtype",),
+    wall="wall_s",
+)

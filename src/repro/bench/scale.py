@@ -27,22 +27,10 @@ not the simulator.
 
 from __future__ import annotations
 
-import statistics
-import sys
-import time
-from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
-import numpy as np
-
-from .speed import _CALIBRATION_SCALE_BOUNDS, calibrate, _cpu_count
-
-SCALE_SCHEMA = "janus-repro/bench-scale/v1"
-
-# src/repro/bench/scale.py -> repo root / benchmarks / BENCH_scale.json
-DEFAULT_SCALE_SNAPSHOT_PATH = (
-    Path(__file__).resolve().parents[3] / "benchmarks" / "BENCH_scale.json"
-)
+from .harness import SNAPSHOT_DIR, Suite, calibration_scale, column, ratio
+from .speed import time_engine
 
 # Structural gate: per-event wall cost from the smallest to the largest
 # fleet in a capture.
@@ -74,7 +62,7 @@ class ScaleBenchConfig(NamedTuple):
 # Small points are cheap enough to sample three times (the median then
 # shrugs off scheduler noise); the 128-machine point is long enough to be
 # its own noise floor and doubles up iterations to cross 1M events.
-SCALE_FULL_CONFIGS: Tuple[ScaleBenchConfig, ...] = (
+FULL_CONFIGS: Tuple[ScaleBenchConfig, ...] = (
     ScaleBenchConfig(machines=8, runs=3),
     ScaleBenchConfig(machines=16, runs=3),
     ScaleBenchConfig(machines=32, runs=2),
@@ -86,7 +74,7 @@ SCALE_FULL_CONFIGS: Tuple[ScaleBenchConfig, ...] = (
 
 # CI smoke subset: the scaling law needs two points to exist at all.
 # Both are sub-second, so triple-sampling is cheap noise insurance.
-SCALE_QUICK_CONFIGS: Tuple[ScaleBenchConfig, ...] = (
+QUICK_CONFIGS: Tuple[ScaleBenchConfig, ...] = (
     ScaleBenchConfig(machines=8, runs=3),
     ScaleBenchConfig(machines=16, runs=3),
 )
@@ -95,115 +83,52 @@ SCALE_QUICK_CONFIGS: Tuple[ScaleBenchConfig, ...] = (
 def time_scale_config(spec: ScaleBenchConfig, runs: int = 0) -> Dict:
     """Time one weak-scaling point; the median is seconds per iteration.
 
-    Construction (cluster, workload, engine) stays outside the timed
-    region.  Each run simulates ``spec.iterations`` fresh iterations on
-    fresh engines and reports wall seconds per iteration, so samples are
-    comparable across points regardless of their iteration multiplier.
-
-    The cyclic garbage collector is paused inside the timed region (and
-    restored after): generation-2 collections scan the whole live object
-    graph, which at 128 machines is ~300k flow/event objects — a
-    superlinear term that belongs to allocator policy, not to the
-    simulator, and would drown the structural gate in noise.  This is
-    the same discipline pytest-benchmark applies by default.
+    ``runs`` overrides the point's own sample count when positive.  Each
+    sample simulates ``spec.iterations`` fresh iterations and reports wall
+    seconds per iteration, so samples are comparable across points
+    regardless of their iteration multiplier.  The garbage collector is
+    paused inside the timed region: at 128 machines its generation-2 scans
+    would drown the structural gate in noise.
     """
-    import gc
-
     from ..cluster import Cluster
-    from ..config import moe_bert, moe_gpt, moe_transformer_xl
-    from ..core import JanusFeatures, build_workload, engine_for
+    from ..config import TABLE1_MODELS
+    from ..core import JanusFeatures
 
-    factories = {
-        "MoE-BERT": moe_bert,
-        "MoE-GPT": moe_gpt,
-        "MoE-Transformer-xl": moe_transformer_xl,
-    }
-    config = factories[spec.model](spec.experts)
-    cluster = Cluster(spec.machines)
-    workload = build_workload(config, cluster)
-    features = JanusFeatures(topology_aware=True, prefetch=True)
-    runs = runs or spec.runs
-    samples: List[float] = []
-    events_per_iter = 0
-    sim_seconds = 0.0
-    for _ in range(runs):
-        engines = [
-            engine_for(
-                spec.mode, config, cluster,
-                workload=workload, features=features,
-            )
-            for _ in range(spec.iterations)
-        ]
-        gc.collect()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            for engine in engines:
-                result = engine.run_iteration()
-            elapsed = time.perf_counter() - start
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        samples.append(elapsed / spec.iterations)
-        events_per_iter = result.sim_events
-        sim_seconds = result.seconds
-    median = statistics.median(samples)
-    # The growth law divides two per-event costs, so it wants the
-    # least-noise estimator: the best sample, not the median (which the
-    # wall gate uses — a regression should shift the whole distribution,
-    # while scheduler noise only pads it).
-    per_event_us = (
-        min(samples) / events_per_iter * 1e6 if events_per_iter else 0.0
+    entry = time_engine(
+        spec.mode, TABLE1_MODELS[spec.model](spec.experts),
+        Cluster(spec.machines),
+        JanusFeatures(topology_aware=True, prefetch=True),
+        runs or spec.runs, iterations=spec.iterations, pause_gc=True,
     )
+    # A point reports per-event cost instead of an event rate.  The growth
+    # law divides two per-event costs, so it wants the least-noise
+    # estimator: the best sample, not the median (which the wall gate
+    # uses — a regression should shift the whole distribution, while
+    # scheduler noise only pads it).
+    del entry["events_per_s"]
+    events = entry["events"]
     return {
         "machines": spec.machines,
         "experts": spec.experts,
         "iterations": spec.iterations,
-        "median_s": median,
-        "best_s": min(samples),
-        "samples": [round(sample, 6) for sample in samples],
-        "sim_seconds": sim_seconds,
-        "events": events_per_iter,
-        "events_total": events_per_iter * spec.iterations,
-        "per_event_us": per_event_us,
+        **entry,
+        "events_total": events * spec.iterations,
+        "per_event_us": entry["best_s"] / events * 1e6 if events else 0.0,
     }
 
 
-def run_scale_suite(
-    configs: Sequence[ScaleBenchConfig] = SCALE_FULL_CONFIGS,
-    runs: int = 0,
-    calibration: Optional[float] = None,
-) -> Dict:
-    """Run the weak-scaling sweep sequentially and assemble the capture.
+def _warmup() -> None:
+    """A throwaway 2-machine iteration so no timed point pays first-use
+    costs (imports, the compiled water-filling kernel, numpy warm-up)."""
+    time_scale_config(ScaleBenchConfig(machines=2), runs=1)
 
-    ``runs`` overrides every config's sample count when positive.  A
-    throwaway 2-machine iteration runs first so no timed point pays
-    first-use costs (imports, the compiled water-filling kernel, numpy
-    warm-up).
-    """
-    time_scale_config(ScaleBenchConfig(machines=2), runs=1)  # warm-up
-    suite_start = time.perf_counter()
-    runs_section = {
-        spec.key: time_scale_config(spec, runs=runs) for spec in configs
-    }
-    wall_s = time.perf_counter() - suite_start
+
+def _config(configs, runs: int) -> Dict:
     return {
-        "schema": SCALE_SCHEMA,
-        "config": {
-            "model": configs[0].model if configs else "",
-            "mode": configs[0].mode if configs else "",
-            "machines": [spec.machines for spec in configs],
-            "features": "topology_aware+prefetch",
-        },
-        "calibration_s": calibrate() if calibration is None else calibration,
-        "host": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "cpus": _cpu_count(),
-        },
-        "runs": runs_section,
-        "wall_s": wall_s,
+        "model": configs[0].model if configs else "",
+        "mode": configs[0].mode if configs else "",
+        "machines": [spec.machines for spec in configs],
+        "features": "topology_aware+prefetch",
     }
 
 
@@ -213,14 +138,12 @@ def _ordered_points(current: Dict) -> List[Dict]:
     )
 
 
-def check_scale_structure(
-    current: Dict, max_growth: float = MAX_PER_EVENT_GROWTH
-) -> List[str]:
+def check_scale_structure(current: Dict, snapshot: Dict) -> List[str]:
     """Host-independent weak-scaling gate on one capture.
 
     Per-event wall cost from the smallest to the largest fleet must not
-    grow beyond ``max_growth``; both endpoints come from the same
-    capture on the same host, so no calibration is involved.
+    grow beyond ``MAX_PER_EVENT_GROWTH``; both endpoints come from the
+    same capture on the same host, so no calibration is involved.
 
     The law only engages when the capture spans at least a 4x machine
     range: between adjacent fleet sizes the per-event delta is scheduler
@@ -229,94 +152,64 @@ def check_scale_structure(
     flaky by construction.
     """
     points = _ordered_points(current)
-    problems = []
     if len(points) < 2:
-        problems.append(
-            "scaling law needs at least two fleet sizes in the capture"
-        )
-        return problems
+        return ["scaling law needs at least two fleet sizes in the capture"]
     first, last = points[0], points[-1]
     if last["machines"] < 4 * first["machines"]:
-        return problems
+        return []
     if first["per_event_us"] <= 0:
-        problems.append("smallest point reported no events")
-        return problems
+        return ["smallest point reported no events"]
     growth = last["per_event_us"] / first["per_event_us"]
-    if growth > max_growth:
-        problems.append(
+    if growth > MAX_PER_EVENT_GROWTH:
+        return [
             f"per-event cost grows {growth:.2f}x from "
             f"{first['machines']}m ({first['per_event_us']:.2f} us) to "
             f"{last['machines']}m ({last['per_event_us']:.2f} us); "
-            f"allowed {max_growth:.2f}x"
-        )
-    return problems
+            f"allowed {MAX_PER_EVENT_GROWTH:.2f}x"
+        ]
+    return []
 
 
-def check_scale_snapshot(
-    current: Dict, snapshot: Dict, tolerance: float = 0.25
-) -> List[str]:
-    """Regression gates: structure, per-point medians, top-point budget.
-
-    Medians and the absolute iteration budget are rescaled by the
-    calibration ratio (clamped) the way the speed suite does, so the
-    gate survives faster or slower CI runners.
-    """
-    problems = check_scale_structure(current)
-    snap_runs = snapshot.get("runs", {})
-    cur_runs = current.get("runs", {})
-    scale = 1.0
-    snap_cal = snapshot.get("calibration_s")
-    cur_cal = current.get("calibration_s")
-    if snap_cal and cur_cal:
-        low, high = _CALIBRATION_SCALE_BOUNDS
-        scale = min(max(cur_cal / snap_cal, low), high)
-    for key in sorted(cur_runs):
-        if key not in snap_runs:
-            problems.append(f"{key}: not in committed snapshot (run --write)")
-            continue
-        expected = snap_runs[key]["median_s"] * scale
-        actual = cur_runs[key]["median_s"]
-        if actual > expected * (1.0 + tolerance):
-            problems.append(
-                f"{key}: median {actual:.3f} s/iter vs allowed "
-                f"{expected * (1.0 + tolerance):.3f} s/iter "
-                f"(snapshot {snap_runs[key]['median_s']:.3f} s "
-                f"x calibration {scale:.2f} x band {1.0 + tolerance:.2f})"
-            )
+def check_top_budget(current: Dict, snapshot: Dict) -> List[str]:
+    """The largest fleet's iteration must fit the calibration-rescaled
+    ``TOP_ITERATION_BUDGET_S``."""
     points = _ordered_points(current)
-    if points:
-        top = points[-1]
-        budget = TOP_ITERATION_BUDGET_S * scale
-        if top["median_s"] > budget:
-            problems.append(
-                f"{top['machines']}m iteration takes {top['median_s']:.2f} s"
-                f" vs budget {budget:.2f} s "
-                f"({TOP_ITERATION_BUDGET_S:.0f} s x calibration {scale:.2f})"
-            )
-    return problems
+    if not points:
+        return []
+    top = points[-1]
+    scale = calibration_scale(current, snapshot)
+    budget = TOP_ITERATION_BUDGET_S * scale
+    if top["median_s"] <= budget:
+        return []
+    return [
+        f"{top['machines']}m iteration takes {top['median_s']:.2f} s"
+        f" vs budget {budget:.2f} s "
+        f"({TOP_ITERATION_BUDGET_S:.0f} s x calibration {scale:.2f})"
+    ]
 
 
-def format_scale_suite(current: Dict) -> str:
-    """Human-readable weak-scaling table."""
-    lines = []
-    header = (
-        f"{'machines':>8} {'experts':>8} {'s/iter':>9} {'events':>9} "
-        f"{'us/event':>9} {'growth':>7}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    points = _ordered_points(current)
-    base = points[0]["per_event_us"] if points else 0.0
-    for entry in points:
-        growth = entry["per_event_us"] / base if base > 0 else 0.0
-        lines.append(
-            f"{entry['machines']:>8d} {entry['experts']:>8d} "
-            f"{entry['median_s']:>9.3f} {entry['events']:>9d} "
-            f"{entry['per_event_us']:>9.2f} {growth:>6.2f}x"
-        )
-    lines.append(
-        f"calibration: {current.get('calibration_s', 0.0) * 1e3:.1f} ms "
-        f"(host {current.get('host', {}).get('cpus', '?')} cpu(s)); "
-        f"suite wall {current.get('wall_s', 0.0):.1f} s"
-    )
-    return "\n".join(lines)
+# Points run inline (see the module docstring); ``runs`` 0 keeps every
+# point's own sample count.
+SUITE = Suite(
+    name="scale",
+    summary="weak-scaling sweep 8-128 machines",
+    schema="janus-repro/bench-scale/v1",
+    path=SNAPSHOT_DIR / "BENCH_scale.json",
+    full=FULL_CONFIGS,
+    quick=QUICK_CONFIGS,
+    runs=(0, 0),
+    measure=time_scale_config,
+    config=_config,
+    columns=(
+        column("experts", "experts", "d"),
+        column("s/iter", "median_s", ".3f"),
+        column("events", "events", "d"),
+        column("us/event", "per_event_us", ".2f"),
+        ("growth", lambda entry, runs: ratio(
+            entry, _ordered_points({"runs": runs})[0], "per_event_us"
+        )),
+    ),
+    gates=(check_scale_structure, check_top_budget),
+    wall="wall_s",
+    warmup=_warmup,
+)

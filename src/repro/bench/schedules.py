@@ -9,8 +9,8 @@ backward gradient all-reduce, and the schedule-aware ``auto`` engine.
 Unlike the Fig. 14 speed suite, this capture gates on *two* axes:
 
 * wall-clock medians against ``benchmarks/BENCH_schedules.json`` with the
-  same calibration rescaling as :mod:`repro.bench.speed` (simulator
-  efficiency, host-independent), and
+  shared calibration rescaling (simulator efficiency, host-independent),
+  and
 * the **structural schedule wins**, which are pure simulated-time facts:
   micro-batching must beat plain expert-centric and the overlapped
   all-reduce must beat the serial one.  These hold on any host; a
@@ -19,23 +19,10 @@ Unlike the Fig. 14 speed suite, this capture gates on *two* axes:
 
 from __future__ import annotations
 
-import statistics
-import sys
-import time
-from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
-from .speed import calibrate, check_snapshot
-
-SCHEDULES_SCHEMA = "janus-repro/bench-schedules/v1"
-
-DEFAULT_SCHEDULES_SNAPSHOT_PATH = (
-    Path(__file__).resolve().parents[3]
-    / "benchmarks"
-    / "BENCH_schedules.json"
-)
+from .harness import SNAPSHOT_DIR, Suite, beats, column, ratio
+from .speed import time_engine
 
 # The mixed-R shape: moe_gpt(32) with block 10 widened to 256 experts.
 _MIXED_EXPERTS = {6: 32, 10: 256}
@@ -90,7 +77,7 @@ class ScheduleBenchConfig(NamedTuple):
         return "/".join(parts)
 
 
-SCHEDULE_FULL_CONFIGS: Tuple[ScheduleBenchConfig, ...] = (
+FULL_CONFIGS: Tuple[ScheduleBenchConfig, ...] = (
     ScheduleBenchConfig("expert-centric"),
     ScheduleBenchConfig("microbatch-ec", micro_batches=4),
     ScheduleBenchConfig("expert-centric", grad_allreduce="serial"),
@@ -112,7 +99,7 @@ SCHEDULE_FULL_CONFIGS: Tuple[ScheduleBenchConfig, ...] = (
 # CI smoke subset: the headline structural wins plus their baselines —
 # micro-batching vs. plain EC, tuned vs. best-fixed chunks, staggered
 # vs. wave chunk sends.
-SCHEDULE_QUICK_CONFIGS: Tuple[ScheduleBenchConfig, ...] = (
+QUICK_CONFIGS: Tuple[ScheduleBenchConfig, ...] = (
     ScheduleBenchConfig("expert-centric"),
     ScheduleBenchConfig("microbatch-ec", micro_batches=4),
     ScheduleBenchConfig("pipelined-ec", chunks=2, gpu="tight"),
@@ -132,21 +119,14 @@ def time_schedule_config(spec: ScheduleBenchConfig, runs: int = 2) -> Dict:
     """Time ``runs`` cold iterations of one schedule; report the median."""
     from ..cluster import Cluster
     from ..cluster.hardware import GpuSpec, MachineSpec
-    from ..core import JanusFeatures, build_workload, engine_for
+    from ..core import JanusFeatures
 
-    config = _mixed_model()
     gpu_overrides = _GPU_SPECS[spec.gpu]
-    machine = (
-        MachineSpec(gpu=GpuSpec(**gpu_overrides))
-        if gpu_overrides is not None
-        else None
-    )
     cluster = (
-        Cluster(_MACHINES, spec=machine)
-        if machine is not None
+        Cluster(_MACHINES, spec=MachineSpec(gpu=GpuSpec(**gpu_overrides)))
+        if gpu_overrides is not None
         else Cluster(_MACHINES)
     )
-    workload = build_workload(config, cluster)
     feature_kwargs = {}
     if spec.chunks == "auto":
         feature_kwargs["chunk_autotune"] = True
@@ -158,56 +138,21 @@ def time_schedule_config(spec: ScheduleBenchConfig, runs: int = 2) -> Dict:
         a2a_stagger=spec.stagger,
         **feature_kwargs,
     )
-    samples: List[float] = []
-    events = 0
-    sim_seconds = 0.0
-    for _ in range(runs):
-        engine = engine_for(
-            spec.mode, config, cluster, workload=workload,
-            features=features, check_memory=False,
-        )
-        start = time.perf_counter()
-        result = engine.run_iteration()
-        samples.append(time.perf_counter() - start)
-        events = result.sim_events
-        sim_seconds = result.seconds
-    median = statistics.median(samples)
-    return {
-        "median_s": median,
-        "best_s": min(samples),
-        "samples": [round(sample, 6) for sample in samples],
-        "sim_seconds": sim_seconds,
-        "events": events,
-        "events_per_s": events / median if median > 0 else 0.0,
-    }
+    return time_engine(
+        spec.mode, _mixed_model(), cluster, features, runs,
+        check_memory=False,
+    )
 
 
-def run_schedules_suite(
-    configs: Sequence[ScheduleBenchConfig] = SCHEDULE_FULL_CONFIGS,
-    runs: int = 2,
-    calibration: Optional[float] = None,
-) -> Dict:
-    """Time every schedule config and assemble the capture."""
+def _config(configs, runs: int) -> Dict:
     return {
-        "schema": SCHEDULES_SCHEMA,
-        "config": {
-            "model": "MoE-GPT",
-            "experts_per_block": {
-                str(block): count
-                for block, count in sorted(_MIXED_EXPERTS.items())
-            },
-            "machines": _MACHINES,
-            "runs": runs,
+        "model": "MoE-GPT",
+        "experts_per_block": {
+            str(block): count
+            for block, count in sorted(_MIXED_EXPERTS.items())
         },
-        "calibration_s": calibrate() if calibration is None else calibration,
-        "host": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-        },
-        "runs": {
-            spec.key: time_schedule_config(spec, runs=runs)
-            for spec in configs
-        },
+        "machines": _MACHINES,
+        "runs": runs,
     }
 
 
@@ -230,7 +175,19 @@ AUTOTUNE_WIN: Tuple[str, str] = ("pipelined-ec/tight/auto",
                                  "pipelined-ec/tight/c")
 
 
-def check_autotune_win(current: Dict) -> List[str]:
+def check_schedule_wins(current: Dict, snapshot: Dict) -> List[str]:
+    """Structural gate: the schedule speedups must hold in simulated time."""
+    runs = current.get("runs", {})
+    problems = [
+        problem
+        for fast, slow in STRUCTURAL_WINS
+        if fast in runs and slow in runs
+        for problem in beats(runs, fast, slow, "sim_seconds")
+    ]
+    return problems + check_autotune_win(current, snapshot)
+
+
+def check_autotune_win(current: Dict, snapshot: Dict) -> List[str]:
     """The cost-model-tuned chunks must dominate the fixed-M sweep."""
     runs = current.get("runs", {})
     auto_key, fixed_prefix = AUTOTUNE_WIN
@@ -260,50 +217,23 @@ def check_autotune_win(current: Dict) -> List[str]:
     return problems
 
 
-def check_schedule_wins(current: Dict) -> List[str]:
-    """Structural gate: the schedule speedups must hold in simulated time."""
-    problems = []
-    runs = current.get("runs", {})
-    for fast_key, slow_key in STRUCTURAL_WINS:
-        if fast_key not in runs or slow_key not in runs:
-            continue
-        fast = runs[fast_key]["sim_seconds"]
-        slow = runs[slow_key]["sim_seconds"]
-        if fast >= slow:
-            problems.append(
-                f"{fast_key}: simulated {fast * 1e3:.2f} ms/iter does not "
-                f"beat {slow_key} ({slow * 1e3:.2f} ms/iter)"
-            )
-    problems.extend(check_autotune_win(current))
-    return problems
-
-
-def check_schedules_snapshot(
-    current: Dict, snapshot: Dict, tolerance: float = 0.25
-) -> List[str]:
-    """Wall-clock regression gate (calibration-rescaled) + structural wins."""
-    return check_schedule_wins(current) + check_snapshot(
-        current, snapshot, tolerance=tolerance
-    )
-
-
-def format_schedules_suite(current: Dict) -> str:
-    """Human-readable table of a capture, with speedups vs the baseline."""
-    runs = current.get("runs", {})
-    base = runs.get("expert-centric", {}).get("sim_seconds")
-    header = (
-        f"{'schedule':<30} {'sim ms/iter':>12} {'vs EC':>7} "
-        f"{'wall ms':>9} {'events':>8}"
-    )
-    lines = [header, "-" * len(header)]
-    for key, entry in runs.items():
-        sim = entry["sim_seconds"]
-        speedup = f"{base / sim:.2f}x" if base and sim > 0 else "-"
-        lines.append(
-            f"{key:<30} {sim * 1e3:>12.2f} {speedup:>7} "
-            f"{entry['median_s'] * 1e3:>9.1f} {entry['events']:>8d}"
-        )
-    lines.append(
-        f"calibration: {current.get('calibration_s', 0.0) * 1e3:.1f} ms"
-    )
-    return "\n".join(lines)
+SUITE = Suite(
+    name="schedules",
+    summary="task-graph schedules on the mixed-R model",
+    schema="janus-repro/bench-schedules/v1",
+    path=SNAPSHOT_DIR / "BENCH_schedules.json",
+    full=FULL_CONFIGS,
+    quick=QUICK_CONFIGS,
+    runs=(2, 1),
+    measure=time_schedule_config,
+    config=_config,
+    columns=(
+        column("sim ms/iter", "sim_seconds", ".2f", 1e3),
+        ("vs EC", lambda entry, runs: ratio(
+            runs.get("expert-centric"), entry, "sim_seconds"
+        )),
+        column("wall ms", "median_s", ".1f", 1e3),
+        column("events", "events", "d"),
+    ),
+    gates=(check_schedule_wins,),
+)

@@ -4,7 +4,7 @@ Replays seeded open-loop traces through :mod:`repro.serving` on both
 topologies and gates on two axes, mirroring the schedules/control suites:
 
 * wall-clock medians against ``benchmarks/BENCH_serving.json`` with the
-  same calibration rescaling as :mod:`repro.bench.speed`, and
+  shared calibration rescaling, and
 * the **structural serving win**, a pure simulated-time fact: on the
   skewed-popularity trace the disaggregated prefill/decode topology must
   beat the unified topology's p99 per-output-token latency.  Unified
@@ -21,23 +21,9 @@ bit-reproducibility of the per-request latency digest.
 
 from __future__ import annotations
 
-import statistics
-import sys
-import time
-from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
-import numpy as np
-
-from .speed import calibrate, check_snapshot
-
-SERVING_SCHEMA = "janus-repro/bench-serving/v1"
-
-DEFAULT_SERVING_SNAPSHOT_PATH = (
-    Path(__file__).resolve().parents[3]
-    / "benchmarks"
-    / "BENCH_serving.json"
-)
+from .harness import SNAPSHOT_DIR, Suite, beats, column, rate, sample
 
 # Cluster/model shape shared by every run: the bench-speed MoE-GPT shape
 # on four machines — two prefillers + two decoders when disaggregated.
@@ -66,6 +52,13 @@ _TRACES: Dict[str, str] = {
 }
 
 
+# Simulated serving KPIs copied from the run summary into each entry.
+_SUMMARY_KEYS = (
+    "makespan_s", "ttft_p50_ms", "ttft_p99_ms", "tpot_p50_ms",
+    "tpot_p99_ms", "slo_attainment", "goodput_rps", "nic_gb",
+)
+
+
 class ServingBenchConfig(NamedTuple):
     """One timed serving run: a named trace on one topology."""
 
@@ -78,7 +71,7 @@ class ServingBenchConfig(NamedTuple):
         return f"{self.trace}/{self.topology}"
 
 
-SERVING_FULL_CONFIGS: Tuple[ServingBenchConfig, ...] = (
+FULL_CONFIGS: Tuple[ServingBenchConfig, ...] = (
     ServingBenchConfig("skewed", "unified", 50_000),
     ServingBenchConfig("skewed", "disaggregated", 50_000),
     ServingBenchConfig("uniform", "unified", 20_000),
@@ -88,7 +81,7 @@ SERVING_FULL_CONFIGS: Tuple[ServingBenchConfig, ...] = (
 )
 
 # CI smoke subset: the structural pair on a smaller trace.
-SERVING_QUICK_CONFIGS: Tuple[ServingBenchConfig, ...] = (
+QUICK_CONFIGS: Tuple[ServingBenchConfig, ...] = (
     ServingBenchConfig("skewed", "unified", 8_000),
     ServingBenchConfig("skewed", "disaggregated", 8_000),
 )
@@ -120,73 +113,38 @@ def time_serving_config(spec: ServingBenchConfig, runs: int = 1) -> Dict:
     """
     from ..serving import simulate_serving
 
-    samples: List[float] = []
-    summary: Dict = {}
-    digest = ""
-    completed = False
-    for _ in range(runs):
-        start = time.perf_counter()
-        config, cluster, trace, serving = _build_run(spec)
-        result = simulate_serving(config, cluster, trace, serving)
-        samples.append(time.perf_counter() - start)
-        summary = result.summary()
-        digest = result.digest()
-        # Unserved requests keep the -1.0 sentinel completion stamp.
-        completed = bool((result.complete_s >= 0.0).all())
-    median = statistics.median(samples)
+    timing, result = sample(
+        runs, lambda _: simulate_serving(*_build_run(spec))
+    )
+    summary = result.summary()
     events = int(summary.get("sim_events", 0))
     return {
-        "median_s": median,
-        "best_s": min(samples),
-        "samples": [round(sample, 6) for sample in samples],
+        **timing,
         "events": events,
-        "events_per_s": events / median if median > 0 else 0.0,
+        "events_per_s": rate(events, timing),
         "requests": summary.get("requests", 0),
-        "completed_ok": completed,
-        "makespan_s": summary.get("makespan_s", 0.0),
-        "ttft_p50_ms": summary.get("ttft_p50_ms", 0.0),
-        "ttft_p99_ms": summary.get("ttft_p99_ms", 0.0),
-        "tpot_p50_ms": summary.get("tpot_p50_ms", 0.0),
-        "tpot_p99_ms": summary.get("tpot_p99_ms", 0.0),
-        "slo_attainment": summary.get("slo_attainment", 0.0),
-        "goodput_rps": summary.get("goodput_rps", 0.0),
-        "nic_gb": summary.get("nic_gb", 0.0),
+        # Unserved requests keep the -1.0 sentinel completion stamp.
+        "completed_ok": bool((result.complete_s >= 0.0).all()),
+        **{key: summary.get(key, 0.0) for key in _SUMMARY_KEYS},
         "paradigms": summary.get("paradigms", {}),
-        "digest": digest,
+        "digest": result.digest(),
     }
 
 
-def run_serving_suite(
-    configs: Sequence[ServingBenchConfig] = SERVING_FULL_CONFIGS,
-    runs: int = 1,
-    calibration: Optional[float] = None,
-) -> Dict:
-    """Time every serving config and assemble the capture."""
+def _config(configs, runs: int) -> Dict:
     return {
-        "schema": SERVING_SCHEMA,
-        "config": {
-            "model": "MoE-GPT",
-            "experts": _EXPERTS,
-            "machines": _MACHINES,
-            "traces": {
-                spec.trace: f"{_TRACES[spec.trace]};requests={spec.requests}"
-                for spec in configs
-            },
-            "runs": runs,
-        },
-        "calibration_s": calibrate() if calibration is None else calibration,
-        "host": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-        },
-        "runs": {
-            spec.key: time_serving_config(spec, runs=runs)
+        "model": "MoE-GPT",
+        "experts": _EXPERTS,
+        "machines": _MACHINES,
+        "traces": {
+            spec.trace: f"{_TRACES[spec.trace]};requests={spec.requests}"
             for spec in configs
         },
+        "runs": runs,
     }
 
 
-def check_serving_wins(current: Dict) -> List[str]:
+def check_serving_wins(current: Dict, snapshot: Dict) -> List[str]:
     """Structural gate, independent of host speed.
 
     * disaggregated p99 per-output-token latency beats unified on the
@@ -198,41 +156,28 @@ def check_serving_wins(current: Dict) -> List[str]:
     for key, entry in runs.items():
         if not entry.get("completed_ok", False):
             problems.append(f"{key}: not every offered request completed")
-    unified = runs.get("skewed/unified")
-    disagg = runs.get("skewed/disaggregated")
-    if unified is None or disagg is None:
+    if not {"skewed/unified", "skewed/disaggregated"} <= set(runs):
         return problems + [
             "capture is missing the skewed unified/disaggregated pair"
         ]
-    fast = disagg["tpot_p99_ms"]
-    slow = unified["tpot_p99_ms"]
-    if fast >= slow:
-        problems.append(
-            f"skewed/disaggregated: p99 TPOT {fast:.3f} ms does not beat "
-            f"unified ({slow:.3f} ms)"
-        )
-    return problems
+    return problems + beats(
+        runs, "skewed/disaggregated", "skewed/unified", "tpot_p99_ms"
+    )
 
 
-def check_serving_snapshot(
-    current: Dict, snapshot: Dict, tolerance: float = 0.25
-) -> List[str]:
-    """Wall gate (calibration-rescaled) + structural win + digest pin.
+def check_digest(current: Dict, snapshot: Dict) -> List[str]:
+    """Digest pin: the per-request latency digest must be bit-identical.
 
-    The per-request latency digest is compared only when the snapshot was
-    captured under the same NumPy version: the arrival sampler leans on
-    ``Generator`` distribution methods whose bit streams NumPy does not
-    freeze across releases.
+    Compared only when the snapshot was captured under the same NumPy
+    version: the arrival sampler leans on ``Generator`` distribution
+    methods whose bit streams NumPy does not freeze across releases.
     """
-    problems = check_serving_wins(current) + check_snapshot(
-        current, snapshot, tolerance=tolerance
-    )
-    same_numpy = (
-        current.get("host", {}).get("numpy")
-        == snapshot.get("host", {}).get("numpy")
-    )
-    if not same_numpy:
-        return problems
+    numpy_versions = {
+        capture.get("host", {}).get("numpy") for capture in (current, snapshot)
+    }
+    if len(numpy_versions) > 1:
+        return []
+    problems = []
     snap_runs = snapshot.get("runs", {})
     for key, entry in current.get("runs", {}).items():
         pinned = snap_runs.get(key, {}).get("digest")
@@ -249,24 +194,25 @@ def check_serving_snapshot(
     return problems
 
 
-def format_serving_suite(current: Dict) -> str:
-    """Human-readable table of a capture."""
-    header = (
-        f"{'config':<22} {'p99 TTFT':>9} {'p99 TPOT':>9} {'SLO':>6} "
-        f"{'goodput':>8} {'wall s':>7} {'events/s':>9}"
-    )
-    lines = [header, "-" * len(header)]
-    for key, entry in current.get("runs", {}).items():
-        lines.append(
-            f"{key:<22} "
-            f"{entry['ttft_p99_ms']:>7.2f}ms "
-            f"{entry['tpot_p99_ms']:>7.3f}ms "
-            f"{entry['slo_attainment']:>6.1%} "
-            f"{entry['goodput_rps']:>6.0f}/s "
-            f"{entry['median_s']:>7.2f} "
-            f"{entry['events_per_s']:>9.0f}"
-        )
-    lines.append(
-        f"calibration: {current.get('calibration_s', 0.0) * 1e3:.1f} ms"
-    )
-    return "\n".join(lines)
+SUITE = Suite(
+    name="serving",
+    summary="request-level serving traces on both topologies",
+    schema="janus-repro/bench-serving/v1",
+    path=SNAPSHOT_DIR / "BENCH_serving.json",
+    full=FULL_CONFIGS,
+    quick=QUICK_CONFIGS,
+    # One run per config: the simulated facts are bit-identical across
+    # repeats, and the largest trace replays 50k requests.
+    runs=(1, 1),
+    measure=time_serving_config,
+    config=_config,
+    columns=(
+        column("p99 TTFT ms", "ttft_p99_ms", ".2f"),
+        column("p99 TPOT ms", "tpot_p99_ms", ".3f"),
+        column("SLO", "slo_attainment", ".1%"),
+        column("goodput/s", "goodput_rps", ".0f"),
+        column("wall s", "median_s", ".2f"),
+        column("events/s", "events_per_s", ".0f"),
+    ),
+    gates=(check_serving_wins, check_digest),
+)

@@ -19,11 +19,11 @@ Commands:
   percentiles, goodput and SLO attainment.
 * ``chaos``    — sweep pull-loss rates across paradigms and report
   iteration time, retries and stale fallbacks (graceful degradation).
-* ``bench``    — wall-clock benchmarks with regression gates:
-  ``--suite sim`` times the simulator per Fig.-14 config against
-  ``benchmarks/BENCH_speed.json``; ``--suite runtime`` times numerical
-  trainer steps (sorted dispatch, both paradigms) against
-  ``benchmarks/BENCH_runtime.json``.
+* ``bench``    — wall-clock benchmarks with regression gates, one
+  registered suite per ``--suite`` (``repro.bench.SUITES``): the
+  simulator's Fig.-14 configs, numerical trainer steps, task-graph
+  schedules, adaptive control, serving and weak scaling, each against
+  its ``benchmarks/BENCH_*.json`` snapshot.
 * ``graph``    — build, validate and export the iteration's task graph
   (Graphviz DOT / structural JSON) without running it.
 * ``table1``   — regenerate the paper's Table 1 traffic comparison.
@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .analysis import format_table, table1
+from .bench import SUITES
 from .cluster import Cluster
 from .config import (
     TABLE1_MODELS,
@@ -140,10 +141,6 @@ def _trace_spec(text: str):
 
 
 def _resolve_model(args) -> ModelConfig:
-    if args.model == "pr-moe":
-        config = pr_moe_transformer_xl(1 if args.machines <= 2 else 2)
-    else:
-        config = MODEL_CHOICES[args.model](args.experts)
     overrides = {}
     if args.batch_size is not None:
         overrides["batch_size"] = args.batch_size
@@ -151,7 +148,16 @@ def _resolve_model(args) -> ModelConfig:
         overrides["seq_len"] = args.seq_len
     if args.top_k is not None:
         overrides["top_k"] = args.top_k
-    return config.scaled(**overrides) if overrides else config
+    try:
+        if args.model == "pr-moe":
+            config = pr_moe_transformer_xl(1 if args.machines <= 2 else 2)
+        else:
+            config = MODEL_CHOICES[args.model](args.experts)
+        return config.scaled(**overrides) if overrides else config
+    except ValueError as exc:
+        # Degenerate shapes (e.g. fewer experts than top-k) are bad input:
+        # one usage error line and exit 2, not a traceback.
+        args.model_parser.error(f"invalid model shape: {exc}")
 
 
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
@@ -161,13 +167,14 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
         default="moe-gpt",
         help="model configuration (Table 1 / §7.5 defaults)",
     )
-    parser.add_argument("--experts", type=int, default=32,
+    parser.add_argument("--experts", type=_positive_int, default=32,
                         help="experts per MoE block")
-    parser.add_argument("--machines", type=int, default=4,
+    parser.add_argument("--machines", type=_positive_int, default=4,
                         help="number of 8-GPU machines")
-    parser.add_argument("--batch-size", type=int, default=None)
-    parser.add_argument("--seq-len", type=int, default=None)
-    parser.add_argument("--top-k", type=int, default=None)
+    parser.add_argument("--batch-size", type=_positive_int, default=None)
+    parser.add_argument("--seq-len", type=_positive_int, default=None)
+    parser.add_argument("--top-k", type=_positive_int, default=None)
+    parser.set_defaults(model_parser=parser)
 
 
 def cmd_plan(args) -> int:
@@ -549,124 +556,26 @@ def cmd_chaos(args) -> int:
     return 0
 
 
-def _bench_capture(args, suite: str):
-    """Run one bench suite ("sim" or "runtime"); return (capture, path)."""
-    from .bench import (
-        CONTROL_FULL_CONFIGS,
-        CONTROL_QUICK_CONFIGS,
-        DEFAULT_CONTROL_SNAPSHOT_PATH,
-        DEFAULT_RUNTIME_SNAPSHOT_PATH,
-        DEFAULT_SCALE_SNAPSHOT_PATH,
-        DEFAULT_SCHEDULES_SNAPSHOT_PATH,
-        DEFAULT_SNAPSHOT_PATH,
-        FULL_CONFIGS,
-        QUICK_CONFIGS,
-        RUNTIME_FULL_CONFIGS,
-        RUNTIME_QUICK_CONFIGS,
-        SCALE_FULL_CONFIGS,
-        SCALE_QUICK_CONFIGS,
-        SCHEDULE_FULL_CONFIGS,
-        SCHEDULE_QUICK_CONFIGS,
-        SERVING_FULL_CONFIGS,
-        SERVING_QUICK_CONFIGS,
-        DEFAULT_SERVING_SNAPSHOT_PATH,
-        format_control_suite,
-        format_runtime_suite,
-        format_scale_suite,
-        format_schedules_suite,
-        format_serving_suite,
-        format_suite,
-        run_control_suite,
-        run_runtime_suite,
-        run_scale_suite,
-        run_schedules_suite,
-        run_serving_suite,
-        run_suite,
-    )
-
-    if suite == "control":
-        configs = (
-            CONTROL_QUICK_CONFIGS if args.quick else CONTROL_FULL_CONFIGS
-        )
-        # Every config is a full multi-iteration drift schedule, so one
-        # run per config is already a stable median.
-        runs = args.runs if args.runs is not None else 1
-        current = run_control_suite(configs, runs=runs)
-        print(format_control_suite(current))
-        return current, DEFAULT_CONTROL_SNAPSHOT_PATH
-    if suite == "schedules":
-        configs = (
-            SCHEDULE_QUICK_CONFIGS if args.quick else SCHEDULE_FULL_CONFIGS
-        )
-        runs = args.runs if args.runs is not None else (1 if args.quick else 2)
-        current = run_schedules_suite(configs, runs=runs)
-        print(format_schedules_suite(current))
-        return current, DEFAULT_SCHEDULES_SNAPSHOT_PATH
-    if suite == "serving":
-        configs = (
-            SERVING_QUICK_CONFIGS if args.quick else SERVING_FULL_CONFIGS
-        )
-        # One run per config: the simulated facts are bit-identical
-        # across repeats, and the largest trace replays 50k requests.
-        runs = args.runs if args.runs is not None else 1
-        current = run_serving_suite(configs, runs=runs)
-        print(format_serving_suite(current))
-        return current, DEFAULT_SERVING_SNAPSHOT_PATH
-    if suite == "scale":
-        configs = SCALE_QUICK_CONFIGS if args.quick else SCALE_FULL_CONFIGS
-        # Per-config sample counts (small points triple-sample, the
-        # 128-machine point is its own noise floor) unless overridden.
-        runs = args.runs if args.runs is not None else 0
-        current = run_scale_suite(configs, runs=runs)
-        print(format_scale_suite(current))
-        return current, DEFAULT_SCALE_SNAPSHOT_PATH
-    if suite == "sim":
-        configs = QUICK_CONFIGS if args.quick else FULL_CONFIGS
-        runs = args.runs if args.runs is not None else (1 if args.quick else 3)
-        jobs = args.jobs
-        if jobs is None:
-            import os
-
-            try:
-                jobs = len(os.sched_getaffinity(0))
-            except AttributeError:
-                jobs = os.cpu_count() or 1
-        current = run_suite(configs, runs=runs, jobs=jobs)
-        print(format_suite(current))
-        return current, DEFAULT_SNAPSHOT_PATH
-    configs = RUNTIME_QUICK_CONFIGS if args.quick else RUNTIME_FULL_CONFIGS
-    runs = args.runs if args.runs is not None else (2 if args.quick else 3)
-    current = run_runtime_suite(configs, runs=runs, dtype=args.dtype)
-    print(format_runtime_suite(current))
-    return current, DEFAULT_RUNTIME_SNAPSHOT_PATH
-
-
 def cmd_bench(args) -> int:
-    """Wall-clock benchmarks: the simulator (``BENCH_speed.json``) and the
-    numerical runtime (``BENCH_runtime.json``)."""
+    """Wall-clock benchmarks: one registered suite (or all of them), each
+    gated against its committed ``benchmarks/BENCH_*.json`` snapshot."""
     import json
 
-    from .bench import (
-        check_control_snapshot,
-        check_scale_snapshot,
-        check_schedules_snapshot,
-        check_serving_snapshot,
-        check_snapshot,
-        write_snapshot,
-    )
+    from .bench import write_snapshot
 
-    suites = (
-        ("sim", "runtime", "schedules", "control", "serving", "scale")
-        if args.suite == "all"
-        else (args.suite,)
-    )
-    if len(suites) > 1 and (args.path is not None or args.out is not None):
+    names = tuple(SUITES) if args.suite == "all" else (args.suite,)
+    if len(names) > 1 and (args.path is not None or args.out is not None):
         print("--path/--out are ambiguous with --suite all", file=sys.stderr)
         return 2
     worst = 0
-    for suite in suites:
-        current, default_path = _bench_capture(args, suite)
-        path = Path(args.path) if args.path is not None else default_path
+    for name in names:
+        suite = SUITES[name]
+        current = suite.capture(
+            quick=args.quick, runs=args.runs, jobs=args.jobs,
+            **{option: getattr(args, option) for option in suite.options},
+        )
+        print(suite.describe(current))
+        path = Path(args.path) if args.path is not None else suite.path
         if args.out is not None:
             Path(args.out).write_text(
                 json.dumps(current, indent=1, sort_keys=True) + "\n"
@@ -685,25 +594,9 @@ def cmd_bench(args) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            snapshot = json.loads(path.read_text())
-            # The schedules/control suites also gate on simulated-time wins.
-            checker = {
-                "schedules": check_schedules_snapshot,
-                "control": check_control_snapshot,
-                "serving": check_serving_snapshot,
-                "scale": check_scale_snapshot,
-            }.get(suite, check_snapshot)
-            problems = checker(current, snapshot, tolerance=args.tolerance)
-            snap_dtype = snapshot.get("config", {}).get("dtype")
-            cur_dtype = current.get("config", {}).get("dtype")
-            if snap_dtype != cur_dtype:
-                # float32 runs ~2x faster; comparing across dtypes would
-                # either mask or fake a regression.
-                problems.insert(
-                    0,
-                    f"dtype mismatch: capture is {cur_dtype}, snapshot is "
-                    f"{snap_dtype} (timings are not comparable)",
-                )
+            problems = suite.check(
+                current, json.loads(path.read_text()), args.tolerance
+            )
             if problems:
                 print(
                     f"bench regression ({len(problems)} config(s)):",
@@ -975,20 +868,13 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="wall-clock benchmark of the simulator / runtime"
     )
     bench.add_argument("--suite",
-                       choices=("sim", "runtime", "schedules", "control",
-                                "serving", "scale", "all"),
+                       choices=(*SUITES, "all"),
                        default="sim",
-                       help="sim = simulator configs (BENCH_speed.json); "
-                            "runtime = numerical trainer steps "
-                            "(BENCH_runtime.json); schedules = task-graph "
-                            "schedules on the mixed-R model "
-                            "(BENCH_schedules.json); control = adaptive "
-                            "controller vs static paradigms under drift "
-                            "(BENCH_control.json); serving = request-level "
-                            "serving traces on both topologies "
-                            "(BENCH_serving.json); scale = weak-scaling "
-                            "sweep 8-128 machines (BENCH_scale.json); "
-                            "all = every suite")
+                       help="; ".join(
+                           f"{suite.name} = {suite.summary} "
+                           f"({suite.path.name})"
+                           for suite in SUITES.values()
+                       ) + "; all = every suite")
     bench.add_argument("--quick", action="store_true",
                        help="CI smoke subset (MoE-GPT, 3 paradigms)")
     bench.add_argument("--runs", type=_positive_int, default=None,
@@ -1012,8 +898,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also dump the fresh capture JSON here")
     bench.add_argument(
         "--path", type=Path, default=None,
-        help="snapshot location (default benchmarks/BENCH_speed.json, "
-             "BENCH_runtime.json or BENCH_schedules.json per --suite)",
+        help="snapshot location (default: the suite's "
+             "benchmarks/BENCH_*.json)",
     )
     bench.set_defaults(func=cmd_bench)
 
@@ -1039,7 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.set_defaults(func=cmd_table1)
 
     goodput = sub.add_parser("goodput", help="All-to-All goodput stress test")
-    goodput.add_argument("--machines", type=int, default=4)
+    goodput.add_argument("--machines", type=_positive_int, default=4)
     goodput.add_argument("--payload", type=float, default=32e6,
                          help="bytes per GPU pair")
     goodput.set_defaults(func=cmd_goodput)

@@ -138,9 +138,10 @@ class JanusEngine:
         no injected faults).  ``degradation``
         (:class:`~repro.faults.DegradationPolicy`) switches blocks that
         keep blowing their pull deadlines to the fallback strategy between
-        iterations of :meth:`run`; setting its ``recover_after_clean`` knob
-        auto-wraps it in a fault-arm-only adaptive controller so degraded
-        blocks return to their preferred paradigm after a clean streak.
+        iterations of :meth:`run`.  It is wrapped in a fault-arm-only
+        adaptive controller: one-way by default, and with its
+        ``recover_after_clean`` knob set, degraded blocks return to their
+        preferred paradigm after a clean streak.
 
         ``controller`` (:class:`~repro.control.Controller`) attaches the
         full adaptive control plane: before each iteration it advances the
@@ -185,7 +186,6 @@ class JanusEngine:
         self.resilience = resilience
         if self.resilience is None and fault_plan is not None and fault_plan:
             self.resilience = ResilienceConfig()
-        self.degradation = degradation
         self.controller = controller
         # Control-plane replica map (block -> expert -> machines); empty
         # unless a controller placed replicas.
@@ -193,13 +193,10 @@ class JanusEngine:
         # Last chunk-tuning pass: block -> predicted per-chunk All-to-All
         # seconds (empty until ``chunk_autotune`` runs a retune).
         self.chunk_predictions: Dict[int, float] = {}
-        if (
-            self.controller is None
-            and degradation is not None
-            and getattr(degradation, "recover_after_clean", None) is not None
-        ):
-            # recover_after_clean needs cross-iteration state the frozen
-            # policy cannot hold: wrap it in a fault-arm-only controller.
+        if self.controller is None and degradation is not None:
+            # The degradation policy is the controller's fault arm: wrap it
+            # in a fault-arm-only controller, which keeps the one-way
+            # ratchet unless ``recover_after_clean`` arms recovery.
             from ..control import ControlConfig, Controller, ControlPolicy
 
             self.controller = Controller(
@@ -531,28 +528,10 @@ class JanusEngine:
         return resolved
 
     def _apply_control(self, result: IterationResult) -> None:
-        """Between iterations: let the control plane adapt the engine.
-
-        With a controller attached this is the full adaptive loop (fault +
-        load arms, replication).  Otherwise the legacy degradation-only
-        path runs: flip blocks that kept missing their pull deadlines to
-        the policy's fallback strategy (graceful degradation through the
-        unified per-block selector), one-way.
-        """
+        """Between iterations: let the control plane (when attached) adapt
+        the engine — fault and load arms, replication."""
         if self.controller is not None:
             self.controller.observe(self, result)
-            return
-        if self.degradation is None or result.fault_stats is None:
-            return
-        for block, name in self.degradation.decide(result.fault_stats).items():
-            resolved = resolve_strategy_name(name)
-            if self.block_strategies.get(block) == resolved:
-                continue
-            self.block_strategies[block] = resolved
-            result.fault_stats.degraded_blocks[block] = resolved
-            result.trace.mark(
-                "fault.degrade", result.seconds, block=block, strategy=resolved
-            )
 
     def run_inference(self) -> IterationResult:
         """Simulate one forward-only (serving) pass."""

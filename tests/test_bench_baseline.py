@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import baseline  # benchmarks/ is on sys.path via tests/conftest.py
+from repro.config import TABLE1_MODELS
 
 BASELINE_FILE = Path(__file__).parent.parent / "benchmarks" / "BENCH_metrics.json"
 
@@ -60,7 +61,7 @@ class TestCommittedBaseline:
         assert snapshot["schema"] == baseline.SCHEMA
         expected_keys = {
             f"{model}/{mode}"
-            for model in baseline.MODEL_FACTORIES
+            for model in TABLE1_MODELS
             for mode in baseline.MODES
         }
         assert set(snapshot["runs"]) == expected_keys

@@ -11,17 +11,17 @@ import json
 
 import pytest
 
-from repro.bench import (
-    RUNTIME_FULL_CONFIGS,
-    RUNTIME_QUICK_CONFIGS,
-    RUNTIME_SCHEMA,
+from repro.bench import SUITES, check_snapshot
+from repro.bench.runtime_speed import (
     RuntimeBenchConfig,
-    check_snapshot,
-    format_runtime_suite,
-    run_runtime_suite,
+    _runtime_model_config,
     time_runtime_config,
 )
-from repro.bench.runtime_speed import _runtime_model_config
+
+SUITE = SUITES["runtime"]
+RUNTIME_SCHEMA = SUITE.schema
+RUNTIME_FULL_CONFIGS = SUITE.full
+RUNTIME_QUICK_CONFIGS = SUITE.quick
 
 
 def _capture(median_s, calibration_s=0.010, dtype="float64",
@@ -91,14 +91,14 @@ class TestTimeRuntimeConfig:
 class TestRunRuntimeSuite:
     def test_capture_schema(self):
         spec = RuntimeBenchConfig("trainer-small", "expert-centric")
-        current = run_runtime_suite([spec], runs=1, warmup=0)
+        current = SUITE.capture(configs=[spec], runs=1)
         assert current["schema"] == RUNTIME_SCHEMA
         assert current["config"]["dtype"] == "float64"
         assert current["calibration_s"] > 0
         assert current["host"]["cpus"] >= 1
         assert spec.key in current["runs"]
         assert current["wall_s"] > 0
-        text = format_runtime_suite(current)
+        text = SUITE.describe(current)
         assert spec.key in text
         assert "float64" in text
 

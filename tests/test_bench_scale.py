@@ -11,19 +11,20 @@ import json
 
 import pytest
 
-from repro.bench import (
+from repro.bench import SUITES
+from repro.bench.scale import (
     MAX_PER_EVENT_GROWTH,
-    SCALE_FULL_CONFIGS,
-    SCALE_QUICK_CONFIGS,
-    SCALE_SCHEMA,
     TOP_ITERATION_BUDGET_S,
     ScaleBenchConfig,
-    check_scale_snapshot,
     check_scale_structure,
-    format_scale_suite,
     time_scale_config,
 )
-from repro.bench.scale import DEFAULT_SCALE_SNAPSHOT_PATH
+
+SUITE = SUITES["scale"]
+SCALE_SCHEMA = SUITE.schema
+SCALE_FULL_CONFIGS = SUITE.full
+SCALE_QUICK_CONFIGS = SUITE.quick
+DEFAULT_SCALE_SNAPSHOT_PATH = SUITE.path
 
 
 def _entry(machines, per_event_us, events=10_000, iterations=1):
@@ -86,47 +87,47 @@ class TestConfigs:
 
 class TestStructureGate:
     def test_flat_scaling_passes(self):
-        assert check_scale_structure(_capture()) == []
+        assert check_scale_structure(_capture(), {}) == []
 
     def test_growth_at_the_bound_passes(self):
         capture = _capture(per_event=(5.0, 5.5, 5.0 * MAX_PER_EVENT_GROWTH))
-        assert check_scale_structure(capture) == []
+        assert check_scale_structure(capture, {}) == []
 
     def test_superlinear_growth_fails(self):
         capture = _capture(per_event=(5.0, 6.0, 8.0))
-        problems = check_scale_structure(capture)
+        problems = check_scale_structure(capture, {})
         assert len(problems) == 1
         assert "1.60x" in problems[0]
 
     def test_endpoints_are_smallest_and_largest_fleet(self):
         # A pathological middle point must not trip the endpoint law.
         capture = _capture(per_event=(5.0, 50.0, 6.0))
-        assert check_scale_structure(capture) == []
+        assert check_scale_structure(capture, {}) == []
 
     def test_single_point_is_rejected(self):
         capture = _capture(per_event=(5.0,), machines=(8,))
-        assert check_scale_structure(capture)
+        assert check_scale_structure(capture, {})
 
     def test_narrow_span_skips_the_growth_law(self):
         # 8 -> 16 machines is the quick CI subset: adjacent sub-second
         # points differ by scheduler noise, not scaling structure, so
         # even a wild ratio must not gate until the span reaches 4x.
         capture = _capture(per_event=(5.0, 10.0), machines=(8, 16))
-        assert check_scale_structure(capture) == []
+        assert check_scale_structure(capture, {}) == []
         capture = _capture(per_event=(5.0, 10.0), machines=(8, 32))
-        assert check_scale_structure(capture)
+        assert check_scale_structure(capture, {})
 
 
 class TestSnapshotGate:
     def test_identical_capture_passes(self):
         capture = _capture()
-        assert check_scale_snapshot(capture, capture) == []
+        assert SUITE.check(capture, capture) == []
 
     def test_regressed_median_fails(self):
         snapshot = _capture()
         current = _capture(per_event=(9.0, 9.9, 10.8))
-        problems = check_scale_snapshot(current, snapshot, tolerance=0.25)
-        assert any("s/iter" in p for p in problems)
+        problems = SUITE.check(current, snapshot, tolerance=0.25)
+        assert any(": median" in p for p in problems)
 
     def test_calibration_rescale_absorbs_a_slow_host(self):
         snapshot = _capture(calibration_s=0.020)
@@ -134,12 +135,12 @@ class TestSnapshotGate:
         current = _capture(
             per_event=(9.0, 9.9, 10.8), calibration_s=0.036
         )
-        assert check_scale_snapshot(current, snapshot, tolerance=0.25) == []
+        assert SUITE.check(current, snapshot, tolerance=0.25) == []
 
     def test_missing_key_is_reported(self):
         snapshot = _capture(machines=(8, 32), per_event=(5.0, 5.5))
         current = _capture()
-        problems = check_scale_snapshot(current, snapshot)
+        problems = SUITE.check(current, snapshot)
         assert any("not in committed snapshot" in p for p in problems)
 
     def test_top_point_budget_fails_when_blown(self):
@@ -147,7 +148,7 @@ class TestSnapshotGate:
         slow = 2 * TOP_ITERATION_BUDGET_S * 1e6 / 692_000  # us/event
         current = _capture(per_event=(5.0, 5.5, slow))
         # Inflate tolerance so only the absolute budget can trip.
-        problems = check_scale_snapshot(current, capture, tolerance=100.0)
+        problems = SUITE.check(current, capture, tolerance=100.0)
         assert any("budget" in p for p in problems)
 
 
@@ -160,8 +161,8 @@ class TestCommittedSnapshot:
 
     def test_committed_snapshot_passes_its_own_gates(self):
         snapshot = json.loads(DEFAULT_SCALE_SNAPSHOT_PATH.read_text())
-        assert check_scale_structure(snapshot) == []
-        assert check_scale_snapshot(snapshot, snapshot) == []
+        assert check_scale_structure(snapshot, {}) == []
+        assert SUITE.check(snapshot, snapshot) == []
 
     def test_committed_top_point_crosses_a_million_events(self):
         snapshot = json.loads(DEFAULT_SCALE_SNAPSHOT_PATH.read_text())
@@ -182,7 +183,7 @@ class TestLiveSmoke:
         assert entry["median_s"] == pytest.approx(entry["best_s"])
 
     def test_format_suite_renders_growth_column(self):
-        table = format_scale_suite(_capture())
+        table = SUITE.describe(_capture())
         assert "us/event" in table
         assert "1.00x" in table
         assert "128" in table

@@ -5,17 +5,15 @@ schema, key formatting, and the two gate layers (structural simulated-time
 wins + calibration-rescaled medians) on synthetic captures.
 """
 
-from repro.bench import (
-    SCHEDULE_FULL_CONFIGS,
-    SCHEDULE_QUICK_CONFIGS,
-    SCHEDULES_SCHEMA,
+from repro.bench import SUITES
+from repro.bench.schedules import (
     ScheduleBenchConfig,
     check_autotune_win,
     check_schedule_wins,
-    check_schedules_snapshot,
-    format_schedules_suite,
-    run_schedules_suite,
 )
+
+SUITE = SUITES["schedules"]
+SCHEDULES_SCHEMA = SUITE.schema
 
 
 def _entry(sim_seconds, median_s=0.1):
@@ -65,29 +63,29 @@ class TestKeys:
         ).key == "microbatch-ec/mb4/stagger"
 
     def test_quick_configs_are_a_subset_of_full(self):
-        full = {spec.key for spec in SCHEDULE_FULL_CONFIGS}
-        assert {spec.key for spec in SCHEDULE_QUICK_CONFIGS} <= full
+        full = {spec.key for spec in SUITE.full}
+        assert {spec.key for spec in SUITE.quick} <= full
 
 
 class TestStructuralWins:
     def test_pass_when_microbatching_wins(self):
-        assert check_schedule_wins(_capture()) == []
+        assert check_schedule_wins(_capture(), {}) == []
 
     def test_flagged_when_microbatching_loses(self):
-        problems = check_schedule_wins(_capture(ec_sim=0.14, micro_sim=0.20))
+        problems = check_schedule_wins(_capture(ec_sim=0.14, micro_sim=0.20), {})
         assert len(problems) == 1
         assert "microbatch-ec/mb4" in problems[0]
 
     def test_missing_keys_are_skipped(self):
         capture = _capture()
         del capture["runs"]["microbatch-ec/mb4"]
-        assert check_schedule_wins(capture) == []
+        assert check_schedule_wins(capture, {}) == []
 
     def test_flagged_when_stagger_loses_to_wave(self):
         capture = _capture()
         capture["runs"]["microbatch-ec/mb4/wave"] = _entry(0.118)
         capture["runs"]["microbatch-ec/mb4/stagger"] = _entry(0.121)
-        problems = check_schedule_wins(capture)
+        problems = check_schedule_wins(capture, {})
         assert len(problems) == 1
         assert "microbatch-ec/mb4/stagger" in problems[0]
 
@@ -106,33 +104,33 @@ class TestAutotuneWin:
 
     def test_pass_when_auto_dominates(self):
         capture = self._capture(0.39, {1: 0.44, 2: 0.41, 4: 0.41, 8: 0.45})
-        assert check_autotune_win(capture) == []
+        assert check_autotune_win(capture, {}) == []
 
     def test_flagged_per_fixed_count_auto_loses_to(self):
         capture = self._capture(0.43, {1: 0.44, 2: 0.41, 4: 0.42})
-        problems = check_autotune_win(capture)
+        problems = check_autotune_win(capture, {})
         assert len(problems) == 2
         assert "pipelined-ec/tight/c2" in problems[0]
         assert "pipelined-ec/tight/c4" in problems[1]
 
     def test_flagged_when_auto_beats_nothing(self):
         capture = self._capture(0.41, {2: 0.41, 4: 0.41})
-        problems = check_autotune_win(capture)
+        problems = check_autotune_win(capture, {})
         assert len(problems) == 1
         assert "dead weight" in problems[0]
 
     def test_skipped_without_an_auto_or_fixed_run(self):
-        assert check_autotune_win(self._capture(0.5, {})) == []
+        assert check_autotune_win(self._capture(0.5, {}), {}) == []
         capture = self._capture(0.5, {2: 0.4})
         del capture["runs"]["pipelined-ec/tight/auto"]
-        assert check_autotune_win(capture) == []
+        assert check_autotune_win(capture, {}) == []
 
     def test_autotune_gate_folds_into_schedule_wins(self):
         capture = _capture()
         capture["runs"].update(
             self._capture(0.43, {2: 0.41})["runs"]
         )
-        problems = check_schedule_wins(capture)
+        problems = check_schedule_wins(capture, {})
         assert any("pipelined-ec/tight/c2" in p for p in problems)
 
 
@@ -142,24 +140,24 @@ class TestSnapshotGate:
         # Wall regression (4x slower) AND a lost schedule win.
         current = _capture(ec_sim=0.14, micro_sim=0.20)
         current["runs"]["expert-centric"]["median_s"] = 0.4
-        problems = check_schedules_snapshot(current, snap, tolerance=0.25)
+        problems = SUITE.check(current, snap, tolerance=0.25)
         assert any("does not beat" in p for p in problems)
         assert any("expert-centric: median" in p for p in problems)
 
     def test_pass_at_parity(self):
         snap = _capture()
-        assert check_schedules_snapshot(_capture(), snap) == []
+        assert SUITE.check(_capture(), snap) == []
 
 
 class TestLiveCapture:
     def test_quick_suite_runs_and_formats(self):
         spec = ScheduleBenchConfig("expert-centric")
-        current = run_schedules_suite([spec], runs=1)
+        current = SUITE.capture(configs=[spec], runs=1)
         assert current["schema"] == SCHEDULES_SCHEMA
         assert current["config"]["machines"] == 4
         entry = current["runs"][spec.key]
         assert entry["sim_seconds"] > 0
         assert entry["events"] > 0
-        text = format_schedules_suite(current)
+        text = SUITE.describe(current)
         assert "expert-centric" in text
         assert "1.00x" in text  # baseline compares to itself

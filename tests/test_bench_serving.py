@@ -9,17 +9,15 @@ One live smoke run covers the capture path end to end.
 
 import numpy as np
 
-from repro.bench import (
-    SERVING_FULL_CONFIGS,
-    SERVING_QUICK_CONFIGS,
-    SERVING_SCHEMA,
+from repro.bench import SUITES
+from repro.bench.serving import (
     ServingBenchConfig,
-    check_serving_snapshot,
     check_serving_wins,
-    format_serving_suite,
-    run_serving_suite,
     time_serving_config,
 )
+
+SUITE = SUITES["serving"]
+SERVING_SCHEMA = SUITE.schema
 
 
 def _entry(tpot_p99, median_s=0.5, requests=8000,
@@ -68,21 +66,21 @@ class TestKeys:
         ).key == "skewed/disaggregated"
 
     def test_quick_configs_are_a_subset_of_full_keys(self):
-        full = {spec.key for spec in SERVING_FULL_CONFIGS}
-        assert {spec.key for spec in SERVING_QUICK_CONFIGS} <= full
+        full = {spec.key for spec in SUITE.full}
+        assert {spec.key for spec in SUITE.quick} <= full
 
     def test_full_suite_contains_the_structural_pair(self):
-        keys = {spec.key for spec in SERVING_FULL_CONFIGS}
+        keys = {spec.key for spec in SUITE.full}
         assert {"skewed/unified", "skewed/disaggregated"} <= keys
 
 
 class TestStructuralWins:
     def test_pass_when_disaggregation_wins(self):
-        assert check_serving_wins(_capture()) == []
+        assert check_serving_wins(_capture(), {}) == []
 
     def test_flagged_when_disaggregation_loses(self):
         problems = check_serving_wins(
-            _capture(unified_tpot=1.0, disagg_tpot=1.4)
+            _capture(unified_tpot=1.0, disagg_tpot=1.4), {}
         )
         assert len(problems) == 1
         assert "does not beat" in problems[0]
@@ -90,50 +88,50 @@ class TestStructuralWins:
     def test_flagged_when_requests_go_unserved(self):
         capture = _capture()
         capture["runs"]["skewed/unified"]["completed_ok"] = False
-        problems = check_serving_wins(capture)
+        problems = check_serving_wins(capture, {})
         assert any("not every offered request completed" in p
                    for p in problems)
 
     def test_missing_pair_is_flagged(self):
         capture = _capture()
         del capture["runs"]["skewed/disaggregated"]
-        problems = check_serving_wins(capture)
+        problems = check_serving_wins(capture, {})
         assert any("missing the skewed" in p for p in problems)
 
 
 class TestSnapshotGate:
     def test_pass_at_parity(self):
         snap = _capture()
-        assert check_serving_snapshot(_capture(), snap) == []
+        assert SUITE.check(_capture(), snap) == []
 
     def test_wall_regression_is_flagged(self):
         snap = _capture()
         current = _capture(median_s=2.5)
-        problems = check_serving_snapshot(current, snap, tolerance=0.25)
+        problems = SUITE.check(current, snap, tolerance=0.25)
         assert any("median" in p for p in problems)
 
     def test_digest_mismatch_flagged_under_same_numpy(self):
         snap = _capture()
         current = _capture(digest="e" * 64)
-        problems = check_serving_snapshot(current, snap)
+        problems = SUITE.check(current, snap)
         assert any("bit-reproducible" in p for p in problems)
 
     def test_digest_skipped_across_numpy_versions(self):
         snap = _capture(numpy_version="0.0.1")
         current = _capture(digest="e" * 64)
-        assert check_serving_snapshot(current, snap) == []
+        assert SUITE.check(current, snap) == []
 
     def test_digest_skipped_when_request_counts_differ(self):
         # --quick replays shorter traces under the same keys.
         snap = _capture(requests=50_000)
         current = _capture(requests=8_000, digest="e" * 64)
-        assert check_serving_snapshot(current, snap) == []
+        assert SUITE.check(current, snap) == []
 
 
 class TestLiveCapture:
     def test_tiny_suite_runs_and_formats(self):
         spec = ServingBenchConfig("skewed", "unified", 400)
-        current = run_serving_suite([spec], runs=1, calibration=0.020)
+        current = SUITE.capture(configs=[spec], runs=1, calibration=0.020)
         assert current["schema"] == SERVING_SCHEMA
         assert current["config"]["machines"] == 4
         assert "requests=400" in current["config"]["traces"]["skewed"]
@@ -142,7 +140,7 @@ class TestLiveCapture:
         assert entry["requests"] == 400
         assert entry["events"] > 0
         assert len(entry["digest"]) == 64
-        text = format_serving_suite(current)
+        text = SUITE.describe(current)
         assert "skewed/unified" in text
         assert "calibration" in text
 

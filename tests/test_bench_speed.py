@@ -1,4 +1,5 @@
-"""Tests for the wall-clock benchmark harness (``repro.bench``).
+"""Tests for the simulator wall-clock suite (``repro bench --suite sim``)
+and the shared harness it runs on.
 
 The harness measures *host* time, so no test pins absolute numbers; they
 cover the capture schema, the calibration-scaled regression gate, history
@@ -9,22 +10,16 @@ import json
 
 import pytest
 
-from repro.bench import (
-    QUICK_CONFIGS,
-    SCHEMA,
-    BenchConfig,
-    check_snapshot,
-    format_suite,
-    run_suite,
-    time_config,
-    write_snapshot,
-)
-from repro.bench.speed import _CALIBRATION_SCALE_BOUNDS
+from repro.bench import SUITES, check_snapshot, write_snapshot
+from repro.bench.harness import CALIBRATION_SCALE_BOUNDS
+from repro.bench.speed import BenchConfig, time_config
+
+SUITE = SUITES["sim"]
 
 
 def _capture(median_s, calibration_s=0.010, key="MoE-GPT/data-centric"):
     return {
-        "schema": SCHEMA,
+        "schema": SUITE.schema,
         "calibration_s": calibration_s,
         "runs": {
             key: {
@@ -56,8 +51,8 @@ class TestTimeConfig:
 class TestRunSuite:
     def test_capture_schema(self):
         spec = BenchConfig("MoE-GPT", "expert-centric")
-        current = run_suite([spec], runs=1, jobs=1)
-        assert current["schema"] == SCHEMA
+        current = SUITE.capture(configs=[spec], runs=1, jobs=1)
+        assert current["schema"] == SUITE.schema
         assert current["config"]["experts"] == spec.experts
         assert current["calibration_s"] > 0
         assert current["host"]["cpus"] >= 1
@@ -67,12 +62,12 @@ class TestRunSuite:
         assert parallel["wall_s"] > 0
         assert parallel["speedup"] > 0
         # The table renderer accepts the capture.
-        text = format_suite(current)
+        text = SUITE.describe(current)
         assert spec.key in text
         assert "calibration" in text
 
     def test_quick_configs_are_a_subset_of_models(self):
-        assert all(spec.model == "MoE-GPT" for spec in QUICK_CONFIGS)
+        assert all(spec.model == "MoE-GPT" for spec in SUITE.quick)
 
 
 class TestCheckSnapshot:
@@ -97,7 +92,7 @@ class TestCheckSnapshot:
 
     def test_calibration_scale_is_clamped(self):
         # A wildly slow calibration cannot absorb a 100x regression.
-        low, high = _CALIBRATION_SCALE_BOUNDS
+        low, high = CALIBRATION_SCALE_BOUNDS
         snap = _capture(0.100, calibration_s=0.010)
         cur = _capture(0.100 * high * 2, calibration_s=0.010 * high * 100)
         assert check_snapshot(cur, snap, tolerance=0.25)

@@ -61,6 +61,36 @@ class TestParser:
             build_parser().parse_args(["simulate", "--stagger-a2a", "fifo"])
 
 
+class TestBadShapes:
+    """Degenerate shapes exit 2 with one error line, never a traceback."""
+
+    @staticmethod
+    def _error_of(argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        return errors[0]
+
+    def test_zero_machines_exits_2(self, capsys):
+        line = self._error_of(["simulate", "--machines", "0"], capsys)
+        assert "--machines" in line and "positive integer" in line
+
+    def test_fewer_experts_than_top_k_exits_2(self, capsys):
+        line = self._error_of(["simulate", "--experts", "3"], capsys)
+        assert "top_k cannot exceed the expert count" in line
+
+    def test_shape_flags_must_be_positive(self, capsys):
+        for flag in ("--experts", "--batch-size", "--seq-len", "--top-k"):
+            line = self._error_of(["plan", flag, "0"], capsys)
+            assert flag in line
+        line = self._error_of(["goodput", "--machines", "-1"], capsys)
+        assert "--machines" in line
+
+
 class TestCommands:
     def test_plan_prints_r_and_memory(self, capsys):
         assert main(["plan", "--model", "moe-gpt"]) == 0

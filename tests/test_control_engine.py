@@ -155,11 +155,17 @@ class TestAutoWrap:
         assert policy.config.adapt_replicas is False
 
     def test_legacy_degradation_stays_unwrapped(self):
+        """A one-way policy gets the same fault-arm-only wrap; the policy
+        keeps its ratchet because ``recover_after_clean`` stays None."""
         engine = engine_for(
             "unified", moe_gpt(16), Cluster(2),
             degradation=DegradationPolicy(), check_memory=False,
         )
-        assert engine.controller is None
+        policy = engine.controller.policy
+        assert policy.degradation.recover_after_clean is None
+        assert policy.config.adapt_load is False
+        assert policy.config.adapt_replicas is False
+        assert engine.controller.drift is None
 
 
 class TestAdaptiveEndToEnd:
