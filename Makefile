@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench bench-check bench-write figs profile \
+.PHONY: install test lint loc bench bench-check bench-write figs profile \
 	baseline baseline-write coverage chaos reports examples clean
 
 install:
@@ -13,6 +13,10 @@ test:
 
 lint:
 	$(PYTHON) -m ruff check src tests benchmarks examples
+
+# Net line count of src/**/*.py: the code-size number ROADMAP tracks.
+loc:
+	@echo "src lines: $$(find src -name '*.py' -exec cat {} + | wc -l)"
 
 # Wall-clock bench suites (host time, not simulated time), one per
 # registered `repro bench --suite` (repro.bench.SUITES): sim (Fig. 14

@@ -148,12 +148,19 @@ def _resolve_model(args) -> ModelConfig:
         overrides["seq_len"] = args.seq_len
     if args.top_k is not None:
         overrides["top_k"] = args.top_k
+    world = Cluster(args.machines).world_size
     try:
         if args.model == "pr-moe":
             config = pr_moe_transformer_xl(1 if args.machines <= 2 else 2)
         else:
             config = MODEL_CHOICES[args.model](args.experts)
-        return config.scaled(**overrides) if overrides else config
+        if overrides:
+            config = config.scaled(**overrides)
+        # Expert parallelism needs every MoE block's experts to divide
+        # over the cluster's GPUs.
+        for index in config.moe_block_indices:
+            config.experts_per_worker(index, world)
+        return config
     except ValueError as exc:
         # Degenerate shapes (e.g. fewer experts than top-k) are bad input:
         # one usage error line and exit 2, not a traceback.

@@ -38,12 +38,10 @@ from .context import IterationContext, JanusFeatures
 from .memory_model import check_fits, estimate_strategies
 from .paradigm import Paradigm
 from .strategies import get_strategy, resolve_strategy_name, strategy_names
-from .taskgraph import TaskKind, build_iteration_plan, run_lane
+from .taskgraph import TaskKind, build_iteration_graph, run_lane
 from .workload import IterationWorkload
 
 __all__ = ["IterationResult", "JanusEngine"]
-
-_BACKWARD = 2.0
 
 
 @dataclass
@@ -111,7 +109,6 @@ class JanusEngine:
         controller=None,
         metrics: Optional[MetricsRegistry] = None,
         trace: Optional[TraceRecorder] = None,
-        scheduler: str = "taskgraph",
     ):
         """``block_strategies`` maps every MoE block index to the strategy
         that executes it: a registered strategy name, a
@@ -150,13 +147,8 @@ class JanusEngine:
         expert replica map.  With drift and faults off the controller is
         structurally inert and runs stay bit-identical.
 
-        ``scheduler`` picks how the iteration's processes are organised:
-        ``"taskgraph"`` (the default) builds an explicit task DAG via
-        :mod:`repro.core.taskgraph` and runs one simkit process per lane —
-        bit-identical to the legacy path for the built-in paradigms, and
-        the only path that supports micro-batching and gradient all-reduce
-        schedules; ``"legacy"`` keeps the original hand-rolled process
-        spawning (retained for the equivalence test battery).
+        Every iteration runs as an explicit task DAG
+        (:mod:`repro.core.taskgraph`), one simkit process per lane.
 
         ``metrics`` (:class:`~repro.metrics.MetricsRegistry`) enables
         quantitative observability: live counters in the schedulers plus
@@ -216,11 +208,6 @@ class JanusEngine:
             self.controller.policy.degradation = degradation
         self.metrics = metrics
         self.trace_recorder = trace
-        if scheduler not in ("taskgraph", "legacy"):
-            raise ValueError(
-                f"scheduler must be 'taskgraph' or 'legacy', got {scheduler!r}"
-            )
-        self.scheduler = scheduler
         self.iterations_run = 0
         moe_indices = {b.index for b in workload.moe_blocks()}
         if set(block_strategies) != moe_indices:
@@ -261,9 +248,8 @@ class JanusEngine:
 
     def _prepare(self, forward_only: bool, trace=None):
         """Build the per-iteration world: environment, fabric, fault
-        machinery, strategies and context.  Shared verbatim by both
-        schedulers and by :meth:`build_graph` (exact code move from the
-        legacy ``run_iteration`` — bit-identity depends on it)."""
+        machinery, strategies and context.  Shared by :meth:`run_iteration`
+        and :meth:`build_graph`."""
         env = Environment()
         fabric = Fabric(env, self.cluster)
         if trace is None:
@@ -309,8 +295,6 @@ class JanusEngine:
             trace_worker=self.trace_worker,
             replicas=self.replicas,
         )
-        for strategy in strategies.values():
-            strategy.setup(ctx, forward_only)
         self._spawn_replica_syncs(ctx, dc_blocks)
         runner = {
             index: strategies[name]
@@ -395,33 +379,9 @@ class JanusEngine:
             forward_only
         )
         env = ctx.env
-
-        if self.scheduler == "taskgraph":
-            worker_procs, collector_procs = self._spawn_graph(
-                ctx, strategies, runner, forward_only
-            )
-        else:
-            if self.features.grad_allreduce != "none":
-                raise ValueError(
-                    "grad_allreduce schedules require scheduler='taskgraph'"
-                )
-            if self.features.micro_batches > 1 and any(
-                s.micro_capable for s in strategies.values()
-            ):
-                raise ValueError(
-                    "micro-batched strategies require scheduler='taskgraph'"
-                )
-            worker_procs = [
-                env.process(self._worker(ctx, rank, runner, forward_only))
-                for rank in range(self.workload.world_size)
-            ]
-            for strategy in strategies.values():
-                strategy.spawn_processes(ctx, forward_only)
-            collector_procs = [] if forward_only else [
-                proc
-                for strategy in strategies.values()
-                for proc in strategy.spawn_grad_collectors(ctx)
-            ]
+        worker_procs, collector_procs = self._spawn_graph(
+            ctx, strategies, runner, forward_only
+        )
 
         def driver():
             ctx.iteration_start.succeed()
@@ -537,13 +497,12 @@ class JanusEngine:
         """Simulate one forward-only (serving) pass."""
         return self.run_iteration(forward_only=True)
 
-    # -- task-graph scheduler ----------------------------------------------------------
+    # -- task-graph execution ---------------------------------------------------------
 
     def _spawn_graph(self, ctx, strategies, runner, forward_only: bool):
-        """Spawn one simkit process per graph lane, in plan order (which
-        replicates the legacy spawn order)."""
-        plan = build_iteration_plan(self, ctx, strategies, runner,
-                                    forward_only)
+        """Spawn one simkit process per graph lane, in lane order."""
+        graph = build_iteration_graph(self, ctx, strategies, runner,
+                                      forward_only)
         observer = self._task_observer(ctx)
         env = ctx.env
         arbiters = None
@@ -557,20 +516,15 @@ class JanusEngine:
 
             arbiters = {NIC_FABRIC_RESOURCE: PriorityResource(env)}
         worker_procs, collector_procs = [], []
-        for kind, payload in plan.entries:
-            if kind == "lane":
-                proc = env.process(
-                    run_lane(plan.graph, payload, observer, arbiters),
-                    name=payload.name, priority=payload.priority,
-                )
-                if payload.role == "worker":
-                    worker_procs.append(proc)
-                elif payload.role == "collector":
-                    collector_procs.append(proc)
-            elif kind == "legacy-services":
-                payload.spawn_processes(ctx, forward_only)
-            else:  # legacy-collectors
-                collector_procs.extend(payload.spawn_grad_collectors(ctx))
+        for lane in graph.lanes:
+            proc = env.process(
+                run_lane(graph, lane, observer, arbiters),
+                name=lane.name, priority=lane.priority,
+            )
+            if lane.role == "worker":
+                worker_procs.append(proc)
+            elif lane.role == "collector":
+                collector_procs.append(proc)
         return worker_procs, collector_procs
 
     def _task_observer(self, ctx):
@@ -620,9 +574,8 @@ class JanusEngine:
         ctx, strategies, runner, _, _, _ = self._prepare(
             forward_only, trace=TraceRecorder()
         )
-        plan = build_iteration_plan(self, ctx, strategies, runner,
-                                    forward_only)
-        return plan.graph
+        return build_iteration_graph(self, ctx, strategies, runner,
+                                     forward_only)
 
     # -- setup helpers ----------------------------------------------------------------
 
@@ -640,51 +593,3 @@ class JanusEngine:
             pipeline_chunks=self.features.min_pipeline_chunks,
         )
         check_fits(estimate, self.cluster.spec.gpu.memory_bytes)
-
-    # -- worker process ------------------------------------------------------------------
-
-    def _worker(
-        self, ctx: IterationContext, rank: int, runner,
-        forward_only: bool = False,
-    ):
-        yield ctx.iteration_start
-        gpu = ctx.gpu_of[rank]
-        gpu_flops = self._rank_flops(rank)
-        workload = self.workload
-        record = rank == self.trace_worker
-
-        # Forward sweep.
-        for block in workload.blocks:
-            index = block.index
-            if block.is_moe:
-                ctx.block_entry[("fwd", index, rank)].succeed()
-            dense_seconds = self._jittered(
-                (block.dense_flops + block.ffn_flops) / gpu_flops
-            )
-            start = ctx.env.now
-            yield ctx.env.process(ctx.fabric.compute(gpu, dense_seconds))
-            if record:
-                ctx.trace.record(
-                    "compute.dense", start, ctx.env.now,
-                    worker=rank, block=index, detail="fwd",
-                )
-            if block.is_moe:
-                yield from runner[index].run_block(ctx, rank, index, "fwd")
-            if record:
-                ctx.trace.mark(
-                    "block_complete", ctx.env.now, worker=rank, block=index
-                )
-
-        if forward_only:
-            return
-
-        # Backward sweep (reverse block order; compute costs doubled).
-        for block in reversed(workload.blocks):
-            index = block.index
-            if block.is_moe:
-                ctx.block_entry[("bwd", index, rank)].succeed()
-                yield from runner[index].run_block(ctx, rank, index, "bwd")
-            dense_seconds = self._jittered(
-                _BACKWARD * (block.dense_flops + block.ffn_flops) / gpu_flops
-            )
-            yield ctx.env.process(ctx.fabric.compute(gpu, dense_seconds))

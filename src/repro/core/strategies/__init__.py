@@ -7,7 +7,7 @@ Importing this package registers the built-in strategies:
 * ``pipelined-ec``   — expert-centric with K-chunked All-to-All overlapped
   with expert compute (Parm/FlowMoE-style pipeline scheduling);
 * ``microbatch-ec``  — expert-centric split into M interleaved micro-batch
-  pipelines (task-graph scheduler only).
+  pipelines.
 
 New paradigms subclass :class:`BlockStrategy` and register with
 ``@register_strategy``; the engine, the unified selector and the CLI pick

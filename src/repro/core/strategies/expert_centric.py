@@ -4,22 +4,90 @@ The Tutel-equivalent baseline and the expert-centric mode of unified Janus:
 all workers rendezvous at the block, a coordinator runs the dispatch
 All-to-All, every worker computes its resident experts on the received
 tokens, and the combine All-to-All returns the results.
+
+The two task bodies here, :func:`compute_body` and :func:`a2a_body`, are
+shared by every expert-centric variant: pipelined-ec runs them on 1/K of
+the block's tokens per chunk, microbatch-ec on 1/M per micro-batch.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Tuple
 
 from ...netsim import all_to_all
-from ...simkit import AllOf
 from ..memory_model import EC_A2A_SLACK
 from ..taskgraph import Task, TaskKind, gpu_claim
 from .base import BlockStrategy, register_strategy
 
-__all__ = ["ExpertCentricStrategy"]
+__all__ = ["ExpertCentricStrategy", "a2a_body", "compute_body"]
 
 _BACKWARD = 2.0
+
+
+def compute_body(engine, ctx, rank: int, index: int, phase: str,
+                 split: int, detail: str):
+    """Task body: ``rank`` computes its resident experts on 1/``split`` of
+    the tokens they received for block ``index``.
+
+    Every split pays the full kernel-launch overhead — one batched GEMM
+    group per resident expert — which is the cost that bounds useful
+    chunk and micro-batch counts.  ``split=1`` is the plain block.
+    """
+
+    def body():
+        workload = engine.workload
+        block = workload.blocks[index]
+        placement = ctx.placements[index]
+        gpu_flops = engine._rank_flops(rank)
+        mult = _BACKWARD if phase == "bwd" else 1.0
+        received = sum(
+            int(block.routing[:, expert].sum())
+            for expert in placement.experts_of(rank)
+        )
+        overhead = (
+            engine.cluster.spec.gpu.kernel_overhead
+            * placement.experts_per_worker
+        )
+        seconds = engine._jittered(
+            (received / split * workload.expert_flops / gpu_flops + overhead)
+            * mult
+        )
+        start = ctx.env.now
+        yield ctx.env.process(ctx.fabric.compute(ctx.gpu_of[rank], seconds))
+        if rank == engine.trace_worker:
+            ctx.trace.record(
+                "compute.expert", start, ctx.env.now,
+                worker=rank, block=index, detail=detail,
+            )
+
+    return body
+
+
+def a2a_body(engine, ctx, index: int, phase: str, split: int, combine: bool,
+             suffix: str = ""):
+    """Task body: one dispatch (or, with ``combine``, combine) All-to-All
+    carrying 1/``split`` of block ``index``'s token matrix."""
+
+    def body():
+        workload = engine.workload
+        block = workload.blocks[index]
+        matrix = block.tokens_sent_matrix(
+            ctx.placements[index], workload.token_bytes
+        ) / split
+        if combine:
+            matrix = matrix.T
+        start = ctx.env.now
+        yield all_to_all(
+            ctx.fabric, matrix,
+            hierarchical=engine.features.hierarchical_a2a,
+        )
+        side = "combine" if combine else "dispatch"
+        ctx.trace.record(
+            "comm.a2a", start, ctx.env.now, block=index,
+            detail=f"{phase}-{side}{suffix}",
+        )
+
+    return body
 
 
 @register_strategy
@@ -28,155 +96,13 @@ class ExpertCentricStrategy(BlockStrategy):
 
     name = "expert-centric"
 
-    def setup(self, ctx, forward_only: bool) -> None:
-        self._sync = {}
-        world = self.engine.workload.world_size
-        phases = ("fwd",) if forward_only else ("fwd", "bwd")
-        for index in self.blocks:
-            for phase in phases:
-                self._sync[(phase, index)] = SimpleNamespace(
-                    arrive=[ctx.env.event() for _ in range(world)],
-                    computed=[ctx.env.event() for _ in range(world)],
-                    dispatch_done=ctx.env.event(),
-                    combine_done=ctx.env.event(),
-                )
-
-    def spawn_processes(self, ctx, forward_only: bool) -> None:
-        for (phase, index) in self._sync:
-            ctx.env.process(self._coordinator(ctx, index, phase))
-
-    def run_block(self, ctx, rank: int, index: int, phase: str):
-        engine = self.engine
-        sync = self._sync[(phase, index)]
-        workload = engine.workload
-        block = workload.blocks[index]
-        placement = ctx.placements[index]
-        gpu_flops = engine._rank_flops(rank)
-        mult = _BACKWARD if phase == "bwd" else 1.0
-
-        sync.arrive[rank].succeed()
-        yield sync.dispatch_done
-        received = sum(
-            int(block.routing[:, expert].sum())
-            for expert in placement.experts_of(rank)
-        )
-        # One batched GEMM group per resident expert: the expert-centric
-        # paradigm pays far fewer kernel launches than fine-grained pulls.
-        overhead = (
-            engine.cluster.spec.gpu.kernel_overhead
-            * placement.experts_per_worker
-        )
-        seconds = engine._jittered(
-            (received * workload.expert_flops / gpu_flops + overhead) * mult
-        )
-        start = ctx.env.now
-        yield ctx.env.process(ctx.fabric.compute(ctx.gpu_of[rank], seconds))
-        if rank == engine.trace_worker:
-            ctx.trace.record(
-                "compute.expert", start, ctx.env.now,
-                worker=rank, block=index, detail=f"{phase}:ec",
-            )
-        sync.computed[rank].succeed()
-        yield sync.combine_done
-
-    def _coordinator(self, ctx, index: int, phase: str):
-        engine = self.engine
-        sync = self._sync[(phase, index)]
-        workload = engine.workload
-        block = workload.blocks[index]
-        placement = ctx.placements[index]
-        dispatch = block.tokens_sent_matrix(placement, workload.token_bytes)
-        combine = dispatch.T
-
-        yield AllOf(ctx.env, sync.arrive)
-        start = ctx.env.now
-        yield all_to_all(
-            ctx.fabric, dispatch,
-            hierarchical=engine.features.hierarchical_a2a,
-        )
-        ctx.trace.record(
-            "comm.a2a", start, ctx.env.now,
-            block=index, detail=f"{phase}-dispatch",
-        )
-        sync.dispatch_done.succeed()
-        yield AllOf(ctx.env, sync.computed)
-        start = ctx.env.now
-        yield all_to_all(
-            ctx.fabric, combine,
-            hierarchical=engine.features.hierarchical_a2a,
-        )
-        ctx.trace.record(
-            "comm.a2a", start, ctx.env.now,
-            block=index, detail=f"{phase}-combine",
-        )
-        sync.combine_done.succeed()
-
-    # -- task-graph builders ---------------------------------------------------
-
     def _label(self, phase: str, index: int) -> str:
         return f"{self.name}.{phase}.b{index}"
 
-    def _compute_body(self, ctx, rank: int, index: int, phase: str):
-        """The expert-compute section of :meth:`run_block`, as a task body
-        (identical arithmetic, trace and jitter-draw order)."""
-        engine = self.engine
-
-        def body():
-            workload = engine.workload
-            block = workload.blocks[index]
-            placement = ctx.placements[index]
-            gpu_flops = engine._rank_flops(rank)
-            mult = _BACKWARD if phase == "bwd" else 1.0
-            received = sum(
-                int(block.routing[:, expert].sum())
-                for expert in placement.experts_of(rank)
-            )
-            overhead = (
-                engine.cluster.spec.gpu.kernel_overhead
-                * placement.experts_per_worker
-            )
-            seconds = engine._jittered(
-                (received * workload.expert_flops / gpu_flops + overhead)
-                * mult
-            )
-            start = ctx.env.now
-            yield ctx.env.process(
-                ctx.fabric.compute(ctx.gpu_of[rank], seconds)
-            )
-            if rank == engine.trace_worker:
-                ctx.trace.record(
-                    "compute.expert", start, ctx.env.now,
-                    worker=rank, block=index, detail=f"{phase}:ec",
-                )
-
-        return body
-
-    def _a2a_body(self, ctx, index: int, phase: str, combine: bool):
-        engine = self.engine
-
-        def body():
-            workload = engine.workload
-            block = workload.blocks[index]
-            placement = ctx.placements[index]
-            matrix = block.tokens_sent_matrix(
-                placement, workload.token_bytes
-            )
-            if combine:
-                matrix = matrix.T
-            start = ctx.env.now
-            yield all_to_all(
-                ctx.fabric, matrix,
-                hierarchical=engine.features.hierarchical_a2a,
-            )
-            ctx.trace.record(
-                "comm.a2a", start, ctx.env.now, block=index,
-                detail=f"{phase}-{'combine' if combine else 'dispatch'}",
-            )
-
-        return body
-
-    def worker_tasks(self, ctx, rank: int, index: int, phase: str):
-        p = self._label(phase, index)
+    def _ec_worker_tasks(self, ctx, rank: int, index: int, phase: str,
+                         p: str, split: int, suffix: str):
+        """Arrive, compute on 1/``split`` of the tokens, leave — the worker
+        side of the block whose coordinator lane is labelled ``p``."""
         return [
             Task(
                 f"{p}.w{rank}.arrive", TaskKind.GATE,
@@ -187,9 +113,13 @@ class ExpertCentricStrategy(BlockStrategy):
                 f"{p}.w{rank}.compute", TaskKind.EXPERT_COMPUTE,
                 waits=(f"{p}.dispatched",),
                 signals=(f"{p}.computed.{rank}",),
-                body=self._compute_body(ctx, rank, index, phase),
+                body=compute_body(
+                    self.engine, ctx, rank, index, phase, split,
+                    f"{phase}:ec{suffix}",
+                ),
                 claims=gpu_claim(rank),
-                worker=rank, block=index, phase=phase, detail=f"{phase}:ec",
+                worker=rank, block=index, phase=phase,
+                detail=f"{phase}:ec{suffix}",
             ),
             Task(
                 f"{p}.w{rank}.leave", TaskKind.GATE,
@@ -198,30 +128,42 @@ class ExpertCentricStrategy(BlockStrategy):
             ),
         ]
 
-    def service_lanes(self, ctx, graph, forward_only: bool):
-        lanes = []
+    def _coordinator_lane(self, ctx, graph, index: int, phase: str, p: str,
+                          split: int, suffix: str):
+        """The lane running block ``index``'s dispatch All-to-All once every
+        worker arrived, and its combine once every worker computed."""
         world = self.engine.workload.world_size
+        lane = graph.lane(f"{p}.coordinator", role="service")
+        for side, waits, signal in (
+            ("dispatch", "arrive", "dispatched"),
+            ("combine", "computed", "combined"),
+        ):
+            lane.add(Task(
+                f"{p}.a2a-{side}", TaskKind.A2A_CHUNK,
+                waits=tuple(f"{p}.{waits}.{r}" for r in range(world)),
+                signals=(f"{p}.{signal}",),
+                body=a2a_body(
+                    self.engine, ctx, index, phase, split,
+                    combine=side == "combine", suffix=suffix,
+                ),
+                block=index, phase=phase, detail=f"{phase}-{side}{suffix}",
+            ))
+        return lane
+
+    def worker_tasks(self, ctx, rank: int, index: int, phase: str):
+        return self._ec_worker_tasks(
+            ctx, rank, index, phase, self._label(phase, index), 1, ""
+        )
+
+    def service_lanes(self, ctx, graph, forward_only: bool):
         phases = ("fwd",) if forward_only else ("fwd", "bwd")
-        for index in self.blocks:
-            for phase in phases:
-                p = self._label(phase, index)
-                lane = graph.lane(f"{p}.coordinator", role="service")
-                lane.add(Task(
-                    f"{p}.a2a-dispatch", TaskKind.A2A_CHUNK,
-                    waits=tuple(f"{p}.arrive.{r}" for r in range(world)),
-                    signals=(f"{p}.dispatched",),
-                    body=self._a2a_body(ctx, index, phase, combine=False),
-                    block=index, phase=phase, detail=f"{phase}-dispatch",
-                ))
-                lane.add(Task(
-                    f"{p}.a2a-combine", TaskKind.A2A_CHUNK,
-                    waits=tuple(f"{p}.computed.{r}" for r in range(world)),
-                    signals=(f"{p}.combined",),
-                    body=self._a2a_body(ctx, index, phase, combine=True),
-                    block=index, phase=phase, detail=f"{phase}-combine",
-                ))
-                lanes.append(lane)
-        return lanes
+        return [
+            self._coordinator_lane(
+                ctx, graph, index, phase, self._label(phase, index), 1, ""
+            )
+            for index in self.blocks
+            for phase in phases
+        ]
 
     @classmethod
     def memory_terms(

@@ -25,18 +25,14 @@ tuner's ``block_chunks`` override when one is set, else the global
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Tuple
 
-from ...netsim import all_to_all
-from ...simkit import AllOf
 from ..memory_model import EC_A2A_SLACK
 from ..taskgraph import Task, TaskKind, gpu_claim
 from .base import BlockStrategy, register_strategy
+from .expert_centric import a2a_body, compute_body
 
 __all__ = ["PipelinedExpertCentricStrategy"]
-
-_BACKWARD = 2.0
 
 
 @register_strategy
@@ -44,173 +40,6 @@ class PipelinedExpertCentricStrategy(BlockStrategy):
     """Expert-centric with K-chunked, compute-overlapped All-to-All."""
 
     name = "pipelined-ec"
-
-    def setup(self, ctx, forward_only: bool) -> None:
-        self._sync = {}
-        world = self.engine.workload.world_size
-        phases = ("fwd",) if forward_only else ("fwd", "bwd")
-        for index in self.blocks:
-            chunks = self.engine.features.chunks_for(index)
-            for phase in phases:
-                self._sync[(phase, index)] = SimpleNamespace(
-                    arrive=[ctx.env.event() for _ in range(world)],
-                    chunk_dispatched=[
-                        ctx.env.event() for _ in range(chunks)
-                    ],
-                    chunk_computed=[
-                        [ctx.env.event() for _ in range(world)]
-                        for _ in range(chunks)
-                    ],
-                    combine_done=ctx.env.event(),
-                )
-
-    def spawn_processes(self, ctx, forward_only: bool) -> None:
-        for (phase, index) in self._sync:
-            ctx.env.process(self._dispatcher(ctx, index, phase))
-            ctx.env.process(self._combiner(ctx, index, phase))
-
-    def run_block(self, ctx, rank: int, index: int, phase: str):
-        engine = self.engine
-        sync = self._sync[(phase, index)]
-        workload = engine.workload
-        block = workload.blocks[index]
-        placement = ctx.placements[index]
-        gpu_flops = engine._rank_flops(rank)
-        mult = _BACKWARD if phase == "bwd" else 1.0
-        chunks = engine.features.chunks_for(index)
-
-        sync.arrive[rank].succeed()
-        received = sum(
-            int(block.routing[:, expert].sum())
-            for expert in placement.experts_of(rank)
-        )
-        # Every chunk re-launches one batched GEMM group per resident
-        # expert — the kernel-overhead cost of pipelining.
-        overhead = (
-            engine.cluster.spec.gpu.kernel_overhead
-            * placement.experts_per_worker
-        )
-        for chunk in range(chunks):
-            yield sync.chunk_dispatched[chunk]
-            seconds = engine._jittered(
-                (received / chunks * workload.expert_flops / gpu_flops
-                 + overhead) * mult
-            )
-            start = ctx.env.now
-            yield ctx.env.process(
-                ctx.fabric.compute(ctx.gpu_of[rank], seconds)
-            )
-            if rank == engine.trace_worker:
-                ctx.trace.record(
-                    "compute.expert", start, ctx.env.now,
-                    worker=rank, block=index,
-                    detail=f"{phase}:pec:{chunk}",
-                )
-            sync.chunk_computed[chunk][rank].succeed()
-        yield sync.combine_done
-
-    # -- coordinators ----------------------------------------------------------
-
-    def _chunk_matrix(self, ctx, index: int):
-        workload = self.engine.workload
-        block = workload.blocks[index]
-        placement = ctx.placements[index]
-        dispatch = block.tokens_sent_matrix(placement, workload.token_bytes)
-        return dispatch / self.engine.features.chunks_for(index)
-
-    def _dispatcher(self, ctx, index: int, phase: str):
-        engine = self.engine
-        sync = self._sync[(phase, index)]
-        chunk = self._chunk_matrix(ctx, index)
-        yield AllOf(ctx.env, sync.arrive)
-        for i in range(engine.features.chunks_for(index)):
-            start = ctx.env.now
-            yield all_to_all(
-                ctx.fabric, chunk,
-                hierarchical=engine.features.hierarchical_a2a,
-            )
-            ctx.trace.record(
-                "comm.a2a", start, ctx.env.now,
-                block=index, detail=f"{phase}-dispatch:{i}",
-            )
-            sync.chunk_dispatched[i].succeed()
-
-    def _combiner(self, ctx, index: int, phase: str):
-        engine = self.engine
-        sync = self._sync[(phase, index)]
-        chunk = self._chunk_matrix(ctx, index).T
-        for i in range(engine.features.chunks_for(index)):
-            yield AllOf(ctx.env, sync.chunk_computed[i])
-            start = ctx.env.now
-            yield all_to_all(
-                ctx.fabric, chunk,
-                hierarchical=engine.features.hierarchical_a2a,
-            )
-            ctx.trace.record(
-                "comm.a2a", start, ctx.env.now,
-                block=index, detail=f"{phase}-combine:{i}",
-            )
-        sync.combine_done.succeed()
-
-    # -- task-graph builders ---------------------------------------------------
-
-    def _chunk_compute_body(self, ctx, rank: int, index: int, phase: str,
-                            chunk: int):
-        """One chunk of :meth:`run_block`'s compute loop as a task body."""
-        engine = self.engine
-
-        def body():
-            workload = engine.workload
-            block = workload.blocks[index]
-            placement = ctx.placements[index]
-            gpu_flops = engine._rank_flops(rank)
-            mult = _BACKWARD if phase == "bwd" else 1.0
-            chunks = engine.features.chunks_for(index)
-            received = sum(
-                int(block.routing[:, expert].sum())
-                for expert in placement.experts_of(rank)
-            )
-            overhead = (
-                engine.cluster.spec.gpu.kernel_overhead
-                * placement.experts_per_worker
-            )
-            seconds = engine._jittered(
-                (received / chunks * workload.expert_flops / gpu_flops
-                 + overhead) * mult
-            )
-            start = ctx.env.now
-            yield ctx.env.process(
-                ctx.fabric.compute(ctx.gpu_of[rank], seconds)
-            )
-            if rank == engine.trace_worker:
-                ctx.trace.record(
-                    "compute.expert", start, ctx.env.now,
-                    worker=rank, block=index,
-                    detail=f"{phase}:pec:{chunk}",
-                )
-
-        return body
-
-    def _chunk_a2a_body(self, ctx, index: int, phase: str, chunk: int,
-                        combine: bool):
-        engine = self.engine
-
-        def body():
-            matrix = self._chunk_matrix(ctx, index)
-            if combine:
-                matrix = matrix.T
-            start = ctx.env.now
-            yield all_to_all(
-                ctx.fabric, matrix,
-                hierarchical=engine.features.hierarchical_a2a,
-            )
-            side = "combine" if combine else "dispatch"
-            ctx.trace.record(
-                "comm.a2a", start, ctx.env.now,
-                block=index, detail=f"{phase}-{side}:{chunk}",
-            )
-
-        return body
 
     def worker_tasks(self, ctx, rank: int, index: int, phase: str):
         p = f"{self.name}.{phase}.b{index}"
@@ -225,7 +54,10 @@ class PipelinedExpertCentricStrategy(BlockStrategy):
                 f"{p}.w{rank}.compute.{chunk}", TaskKind.EXPERT_COMPUTE,
                 waits=(f"{p}.dispatched.{chunk}",),
                 signals=(f"{p}.computed.{chunk}.{rank}",),
-                body=self._chunk_compute_body(ctx, rank, index, phase, chunk),
+                body=compute_body(
+                    self.engine, ctx, rank, index, phase, chunks,
+                    f"{phase}:pec:{chunk}",
+                ),
                 claims=gpu_claim(rank),
                 worker=rank, block=index, phase=phase,
                 detail=f"{phase}:pec:{chunk}",
@@ -258,8 +90,9 @@ class PipelinedExpertCentricStrategy(BlockStrategy):
                         f"{p}.a2a-dispatch.{chunk}", TaskKind.A2A_CHUNK,
                         waits=waits,
                         signals=(f"{p}.dispatched.{chunk}",),
-                        body=self._chunk_a2a_body(
-                            ctx, index, phase, chunk, combine=False
+                        body=a2a_body(
+                            engine, ctx, index, phase, chunks,
+                            combine=False, suffix=f":{chunk}",
                         ),
                         block=index, phase=phase,
                         detail=f"{phase}-dispatch:{chunk}",
@@ -274,8 +107,9 @@ class PipelinedExpertCentricStrategy(BlockStrategy):
                         signals=(
                             (f"{p}.combined",) if chunk == chunks - 1 else ()
                         ),
-                        body=self._chunk_a2a_body(
-                            ctx, index, phase, chunk, combine=True
+                        body=a2a_body(
+                            engine, ctx, index, phase, chunks,
+                            combine=True, suffix=f":{chunk}",
                         ),
                         block=index, phase=phase,
                         detail=f"{phase}-combine:{chunk}",

@@ -1,63 +1,39 @@
-"""Build the per-iteration task graph and its process spawn plan.
+"""Build the per-iteration task graph.
 
-:func:`build_iteration_plan` turns one engine iteration into a
-:class:`~repro.core.taskgraph.graph.TaskGraph` plus an ordered spawn plan.
-The plan replicates the legacy engine's process creation order exactly —
-worker processes for ranks 0..W-1, then each strategy's service processes
-in strategy registration order, then gradient collectors — because that
-order fixes event ids and therefore the golden-pinned kernel counters.
+:func:`build_iteration_graph` turns one engine iteration into a
+:class:`~repro.core.taskgraph.graph.TaskGraph` whose lane order is the
+process spawn order — worker lanes for ranks 0..W-1, then each strategy's
+service lanes in strategy registration order, then gradient collectors —
+because that order fixes event ids and therefore the golden-pinned kernel
+counters.
 
 Strategies contribute through three hooks (see
 :class:`~repro.core.strategies.base.BlockStrategy`):
 
 * ``worker_tasks``    — the tasks a worker lane runs for one block,
-* ``service_lanes``   — coordinator/scheduler lanes (``None`` = fall back
-  to the legacy ``spawn_processes``),
-* ``collector_lanes`` — gradient-collector lanes (``None`` = legacy
-  ``spawn_grad_collectors``).
+* ``service_lanes``   — coordinator/scheduler lanes,
+* ``collector_lanes`` — backward gradient-collector lanes.
 
-On top of the rebuilt paradigms, this module owns the two schedules only
-the task graph can express: **micro-batched worker lanes** (``M`` lanes
-per rank whose block DAGs interleave, so one micro-batch's expert compute
-overlaps another's All-to-All across block boundaries) and the
-**backward-pass gradient all-reduce** (per-block dense-gradient all-reduce
-lanes scheduled into idle link time of the remaining backward sweep, at
-background dispatch priority).
+On top of the paradigms, this module owns two schedules: **micro-batched
+worker lanes** (``M`` lanes per rank whose block DAGs interleave, so one
+micro-batch's expert compute overlaps another's All-to-All across block
+boundaries) and the **backward-pass gradient all-reduce** (per-block
+dense-gradient all-reduce lanes scheduled into idle link time of the
+remaining backward sweep, at background dispatch priority).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Tuple
 
 from ...netsim import all_reduce
-from .graph import Lane, TaskGraph
+from .graph import TaskGraph
 from .stagger import apply_a2a_stagger
 from .task import ResourceClaim, Task, TaskKind
 
-__all__ = ["SpawnPlan", "build_iteration_plan"]
+__all__ = ["build_iteration_graph"]
 
 _BACKWARD = 2.0
-
-
-@dataclass
-class SpawnPlan:
-    """The graph plus the ordered process-spawn entries.
-
-    Entries are ``("lane", Lane)`` for graph lanes and
-    ``("legacy-services" | "legacy-collectors", strategy)`` for strategies
-    that keep their hand-rolled processes.
-    """
-
-    graph: TaskGraph
-    entries: List[Tuple[str, object]] = field(default_factory=list)
-
-    def lanes(self, role=None) -> List[Lane]:
-        return [
-            payload
-            for kind, payload in self.entries
-            if kind == "lane" and (role is None or payload.role == role)
-        ]
 
 
 # -- labels ----------------------------------------------------------------
@@ -85,10 +61,10 @@ def gpu_claim(rank: int) -> Tuple[ResourceClaim, ...]:
 # -- plan assembly ---------------------------------------------------------
 
 
-def build_iteration_plan(
+def build_iteration_graph(
     engine, ctx, strategies, runner, forward_only: bool
-) -> SpawnPlan:
-    """Assemble the full iteration graph in legacy spawn order."""
+) -> TaskGraph:
+    """Assemble the full iteration graph, lanes in spawn order."""
     graph = TaskGraph(ctx.env)
     graph.bind("iteration_start", ctx.iteration_start)
     graph.declare_inputs("iteration_start")
@@ -108,50 +84,25 @@ def build_iteration_plan(
     )
     allreduce = "none" if forward_only else features.grad_allreduce
 
-    plan = SpawnPlan(graph)
-    world = engine.workload.world_size
-    for rank in range(world):
-        if micro > 1:
-            for m in range(micro):
-                lane = graph.lane(
-                    f"worker.{rank}.mb{m}", role="worker", worker=rank
-                )
-                _build_micro_worker_lane(
-                    engine, ctx, lane, rank, m, micro, runner,
-                    forward_only, allreduce,
-                )
-                plan.entries.append(("lane", lane))
-        else:
-            lane = graph.lane(f"worker.{rank}", role="worker", worker=rank)
+    for rank in range(engine.workload.world_size):
+        for m in range(micro):
+            name = f"worker.{rank}" if micro == 1 else f"worker.{rank}.mb{m}"
             _build_worker_lane(
-                engine, ctx, lane, rank, runner, forward_only, allreduce
+                engine, ctx, graph.lane(name, role="worker", worker=rank),
+                rank, m, micro, runner, forward_only, allreduce,
             )
-            plan.entries.append(("lane", lane))
 
     for strategy in strategies.values():
         if micro > 1 and strategy.micro_capable:
-            lanes = strategy.micro_service_lanes(
-                ctx, graph, forward_only, micro
-            )
+            strategy.micro_service_lanes(ctx, graph, forward_only, micro)
         else:
-            lanes = strategy.service_lanes(ctx, graph, forward_only)
-        if lanes is None:
-            plan.entries.append(("legacy-services", strategy))
-        else:
-            plan.entries.extend(("lane", lane) for lane in lanes)
+            strategy.service_lanes(ctx, graph, forward_only)
 
     if not forward_only:
         for strategy in strategies.values():
-            lanes = strategy.collector_lanes(ctx, graph)
-            if lanes is None:
-                plan.entries.append(("legacy-collectors", strategy))
-            else:
-                plan.entries.extend(("lane", lane) for lane in lanes)
+            strategy.collector_lanes(ctx, graph)
         if allreduce != "none":
-            plan.entries.extend(
-                ("lane", lane)
-                for lane in _build_allreduce_lanes(engine, ctx, graph, micro)
-            )
+            _build_allreduce_lanes(engine, ctx, graph, micro)
     if features.a2a_stagger != "off":
         # Intra-A2A chunk scheduling (post-pass): model the shared NIC
         # fabric as an arbitrated resource so concurrent chunk sends
@@ -160,7 +111,7 @@ def build_iteration_plan(
         # the pass adds claims, so skipping it keeps graphs (and their
         # exports) byte-identical.
         apply_a2a_stagger(graph, features.a2a_stagger)
-    return plan
+    return graph
 
 
 # -- worker lanes ----------------------------------------------------------
@@ -171,10 +122,10 @@ def _dense_body(engine, ctx, rank, gpu, block, mult, scale, record, detail,
     """Dense (attention + non-expert FFN) compute for one block.
 
     ``mult`` is the backward factor, ``scale`` the 1/M micro-batch split;
-    both are powers of two in practice so the duration math stays
-    bit-identical to the legacy inline expression.  ``rank_flops`` is
-    hoisted to one :meth:`JanusEngine._rank_flops` call per lane — the
-    lookup chain dominates graph-build time when resolved per block.
+    both are powers of two in practice, so the scaled duration is exact.
+    ``rank_flops`` is hoisted to one :meth:`JanusEngine._rank_flops` call
+    per lane — the lookup chain dominates graph-build time when resolved
+    per block.
     """
     index = block.index
     base = (block.dense_flops + block.ffn_flops) / rank_flops
@@ -202,90 +153,17 @@ def _mark_body(ctx, rank, index):
 
 
 def _build_worker_lane(
-    engine, ctx, lane, rank, runner, forward_only, allreduce
-):
-    """The straight (non-micro-batched) worker lane: mirrors the legacy
-    ``JanusEngine._worker`` generator task for task."""
-    workload = engine.workload
-    gpu = ctx.gpu_of[rank]
-    record = rank == engine.trace_worker
-    claims = gpu_claim(rank)
-    rank_flops = engine._rank_flops(rank)
-
-    lane.add(Task(
-        f"w{rank}.start", TaskKind.GATE, waits=("iteration_start",),
-        worker=rank, traced=False,
-    ))
-    for block in workload.blocks:
-        index = block.index
-        if block.is_moe:
-            lane.add(Task(
-                f"w{rank}.fwd.b{index}.entry", TaskKind.GATE,
-                signals=(entry_label("fwd", index, rank),),
-                worker=rank, block=index, phase="fwd", traced=False,
-            ))
-        lane.add(Task(
-            f"w{rank}.fwd.b{index}.dense", TaskKind.DENSE_COMPUTE,
-            body=_dense_body(
-                engine, ctx, rank, gpu, block, 1.0, 1.0, record, "fwd",
-                rank_flops,
-            ),
-            claims=claims, worker=rank, block=index, phase="fwd",
-            detail="fwd",
-        ))
-        if block.is_moe:
-            lane.add(*runner[index].worker_tasks(ctx, rank, index, "fwd"))
-        if record:
-            lane.add(Task(
-                f"w{rank}.fwd.b{index}.mark", TaskKind.GATE,
-                body=_mark_body(ctx, rank, index),
-                worker=rank, block=index, traced=False,
-            ))
-
-    if forward_only:
-        return
-
-    for block in reversed(workload.blocks):
-        index = block.index
-        if block.is_moe:
-            lane.add(Task(
-                f"w{rank}.bwd.b{index}.entry", TaskKind.GATE,
-                signals=(entry_label("bwd", index, rank),),
-                worker=rank, block=index, phase="bwd", traced=False,
-            ))
-            lane.add(*runner[index].worker_tasks(ctx, rank, index, "bwd"))
-        lane.add(Task(
-            f"w{rank}.bwd.b{index}.dense", TaskKind.DENSE_COMPUTE,
-            body=_dense_body(
-                engine, ctx, rank, gpu, block, _BACKWARD, 1.0, False, "bwd",
-                rank_flops,
-            ),
-            claims=claims, worker=rank, block=index, phase="bwd",
-            detail="bwd",
-        ))
-        if allreduce == "overlap":
-            lane.add(Task(
-                f"w{rank}.bwd.b{index}.grad-ready", TaskKind.GATE,
-                signals=(_bdense_label(index, rank),),
-                worker=rank, block=index, phase="bwd", traced=False,
-            ))
-    if allreduce == "serial":
-        lane.add(Task(
-            f"w{rank}.done", TaskKind.GATE, signals=(_done_label(rank),),
-            worker=rank, traced=False,
-        ))
-
-
-def _build_micro_worker_lane(
     engine, ctx, lane, rank, m, micro, runner, forward_only, allreduce
 ):
-    """One of the M micro-batch lanes of a rank.
+    """Worker lane ``m`` of the ``micro`` lanes of ``rank``.
 
-    Every lane carries 1/M of the dense flops and of each micro-capable
-    block's tokens; the shared per-GPU compute stream serializes the
-    compute while the per-micro-batch All-to-Alls overlap it.  Blocks
-    whose strategy is not micro-capable run at full batch on lane 0 with a
-    rendezvous/release barrier across the rank's lanes.
+    With ``micro == 1`` this is the one lane of the rank, running every
+    block at full batch.  Otherwise every lane carries 1/M of the dense
+    flops and of each micro-capable block's tokens; the shared per-GPU
+    compute stream serializes the compute while the per-micro-batch
+    All-to-Alls overlap it.  Blocks whose strategy is not micro-capable
+    run at full batch on lane 0 with a rendezvous/release barrier across
+    the rank's lanes.
     """
     workload = engine.workload
     gpu = ctx.gpu_of[rank]
@@ -293,79 +171,55 @@ def _build_micro_worker_lane(
     claims = gpu_claim(rank)
     rank_flops = engine._rank_flops(rank)
     scale = 1.0 / micro
-    p = f"w{rank}.mb{m}"
+    tagged = micro > 1
+    p = f"w{rank}.mb{m}" if tagged else f"w{rank}"
+    tag = f":mb{m}" if tagged else ""
+    mb = m if tagged else None
 
     lane.add(Task(
         f"{p}.start", TaskKind.GATE, waits=("iteration_start",),
         worker=rank, traced=False,
     ))
 
-    def entry_task(block, phase):
-        if m != 0:
-            return
-        index = block.index
-        lane.add(Task(
-            f"{p}.{phase}.b{index}.entry", TaskKind.GATE,
-            signals=(entry_label(phase, index, rank),),
-            worker=rank, block=index, phase=phase, traced=False,
-        ))
+    def entry_task(index, phase):
+        if m == 0:
+            lane.add(Task(
+                f"{p}.{phase}.b{index}.entry", TaskKind.GATE,
+                signals=(entry_label(phase, index, rank),),
+                worker=rank, block=index, phase=phase, traced=False,
+            ))
 
-    def moe_tasks(block, phase):
-        index = block.index
+    def moe_tasks(index, phase):
         strategy = runner[index]
-        if strategy.micro_capable:
+        if not tagged:
+            lane.add(*strategy.worker_tasks(ctx, rank, index, phase))
+        elif strategy.micro_capable:
             lane.add(*strategy.micro_worker_tasks(
                 ctx, rank, index, phase, m, micro
             ))
-            return
-        # Full-batch rendezvous: lane 0 waits for every sibling lane to
-        # reach the block, runs the block once, then releases them.  Lane 0
-        # rendezvouses with itself implicitly, so only siblings signal.
-        rv = f"rv.{phase}.b{index}.w{rank}"
-        if m != 0:
-            lane.add(Task(
-                f"{p}.{phase}.b{index}.rv", TaskKind.GATE,
-                signals=(f"{rv}.mb{m}",),
-                worker=rank, block=index, phase=phase, traced=False,
-            ))
-        if m == 0:
-            siblings = tuple(
-                f"{rv}.mb{i}" for i in range(micro) if i != 0
-            )
-            if siblings:
-                lane.add(Task(
-                    f"{p}.{phase}.b{index}.gather", TaskKind.GATE,
-                    waits=siblings, worker=rank, block=index, phase=phase,
-                    traced=False,
-                ))
-            lane.add(*strategy.worker_tasks(ctx, rank, index, phase))
-            lane.add(Task(
-                f"{p}.{phase}.b{index}.release", TaskKind.GATE,
-                signals=(f"{rv}.done",),
-                worker=rank, block=index, phase=phase, traced=False,
-            ))
         else:
-            lane.add(Task(
-                f"{p}.{phase}.b{index}.released", TaskKind.GATE,
-                waits=(f"{rv}.done",),
-                worker=rank, block=index, phase=phase, traced=False,
-            ))
+            _full_batch_block(ctx, lane, strategy, rank, index, phase, m,
+                              micro, p)
+
+    def dense_task(block, phase, mult, trace):
+        index = block.index
+        lane.add(Task(
+            f"{p}.{phase}.b{index}.dense", TaskKind.DENSE_COMPUTE,
+            body=_dense_body(
+                engine, ctx, rank, gpu, block, mult, scale, trace,
+                f"{phase}{tag}", rank_flops,
+            ),
+            claims=claims, worker=rank, block=index, phase=phase,
+            detail=f"{phase}{tag}",
+        ))
 
     for block in workload.blocks:
         index = block.index
         if block.is_moe:
-            entry_task(block, "fwd")
-        lane.add(Task(
-            f"{p}.fwd.b{index}.dense", TaskKind.DENSE_COMPUTE,
-            body=_dense_body(
-                engine, ctx, rank, gpu, block, 1.0, scale, record,
-                f"fwd:mb{m}", rank_flops,
-            ),
-            claims=claims, worker=rank, block=index, phase="fwd",
-            detail=f"fwd:mb{m}",
-        ))
+            entry_task(index, "fwd")
+        dense_task(block, "fwd", 1.0, record)
         if block.is_moe:
-            moe_tasks(block, "fwd")
+            moe_tasks(index, "fwd")
         if record and m == 0:
             lane.add(Task(
                 f"{p}.fwd.b{index}.mark", TaskKind.GATE,
@@ -379,28 +233,53 @@ def _build_micro_worker_lane(
     for block in reversed(workload.blocks):
         index = block.index
         if block.is_moe:
-            entry_task(block, "bwd")
-            moe_tasks(block, "bwd")
-        lane.add(Task(
-            f"{p}.bwd.b{index}.dense", TaskKind.DENSE_COMPUTE,
-            body=_dense_body(
-                engine, ctx, rank, gpu, block, _BACKWARD, scale, False,
-                f"bwd:mb{m}", rank_flops,
-            ),
-            claims=claims, worker=rank, block=index, phase="bwd",
-            detail=f"bwd:mb{m}",
-        ))
+            entry_task(index, "bwd")
+            moe_tasks(index, "bwd")
+        dense_task(block, "bwd", _BACKWARD, False)
         if allreduce == "overlap":
             lane.add(Task(
                 f"{p}.bwd.b{index}.grad-ready", TaskKind.GATE,
-                signals=(_bdense_label(index, rank, m),),
+                signals=(_bdense_label(index, rank, mb),),
                 worker=rank, block=index, phase="bwd", traced=False,
             ))
     if allreduce == "serial":
         lane.add(Task(
-            f"{p}.done", TaskKind.GATE, signals=(_done_label(rank, m),),
+            f"{p}.done", TaskKind.GATE, signals=(_done_label(rank, mb),),
             worker=rank, traced=False,
         ))
+
+
+def _full_batch_block(ctx, lane, strategy, rank, index, phase, m, micro, p):
+    """A non-micro-capable block inside micro-batched lanes: lane 0 waits
+    for every sibling lane to reach the block, runs the block once, then
+    releases them.  Lane 0 rendezvouses with itself implicitly, so only
+    siblings signal."""
+    rv = f"rv.{phase}.b{index}.w{rank}"
+    if m != 0:
+        lane.add(
+            Task(
+                f"{p}.{phase}.b{index}.rv", TaskKind.GATE,
+                signals=(f"{rv}.mb{m}",),
+                worker=rank, block=index, phase=phase, traced=False,
+            ),
+            Task(
+                f"{p}.{phase}.b{index}.released", TaskKind.GATE,
+                waits=(f"{rv}.done",),
+                worker=rank, block=index, phase=phase, traced=False,
+            ),
+        )
+        return
+    lane.add(Task(
+        f"{p}.{phase}.b{index}.gather", TaskKind.GATE,
+        waits=tuple(f"{rv}.mb{i}" for i in range(1, micro)),
+        worker=rank, block=index, phase=phase, traced=False,
+    ))
+    lane.add(*strategy.worker_tasks(ctx, rank, index, phase))
+    lane.add(Task(
+        f"{p}.{phase}.b{index}.release", TaskKind.GATE,
+        signals=(f"{rv}.done",),
+        worker=rank, block=index, phase=phase, traced=False,
+    ))
 
 
 # -- gradient all-reduce lanes ---------------------------------------------
@@ -420,7 +299,7 @@ def _allreduce_body(engine, ctx, index, nbytes, detail):
     return body
 
 
-def _build_allreduce_lanes(engine, ctx, graph, micro) -> List[Lane]:
+def _build_allreduce_lanes(engine, ctx, graph, micro) -> None:
     """Dense-gradient all-reduce of every block's non-expert parameters.
 
     ``serial`` runs one lane after the whole backward sweep — the classic
@@ -436,7 +315,6 @@ def _build_allreduce_lanes(engine, ctx, graph, micro) -> List[Lane]:
     config = workload.config
     world = workload.world_size
     micros = range(micro) if micro > 1 else (None,)
-    lanes: List[Lane] = []
     if mode == "serial":
         lane = graph.lane("allreduce.serial", role="collector")
         lane.add(Task(
@@ -456,8 +334,7 @@ def _build_allreduce_lanes(engine, ctx, graph, micro) -> List[Lane]:
                 ),
                 block=index, phase="bwd", detail="serial",
             ))
-        lanes.append(lane)
-        return lanes
+        return
     for block in reversed(workload.blocks):
         index = block.index
         lane = graph.lane(
@@ -476,5 +353,3 @@ def _build_allreduce_lanes(engine, ctx, graph, micro) -> List[Lane]:
             ),
             block=index, phase="bwd", detail="overlap", priority=2,
         ))
-        lanes.append(lane)
-    return lanes

@@ -65,12 +65,12 @@ def overlap_efficiency(trace, iteration: Optional[int] = None) -> float:
 def task_kind_breakdown(
     registry: MetricsRegistry,
 ) -> Dict[str, Dict[str, float]]:
-    """Per-task-kind execution totals from the task-graph scheduler.
+    """Per-task-kind execution totals of an engine run.
 
     The engine's task observer counts every body-bearing task it retires
     into ``task.count``/``task.seconds`` (labelled by kind); this folds
     both counters into ``kind -> {"count", "seconds"}``, sorted by kind.
-    Empty when the run used the legacy scheduler or no registry."""
+    Empty when the run had no registry attached."""
     breakdown: Dict[str, Dict[str, float]] = {}
     for metric, field in (("task.count", "count"),
                           ("task.seconds", "seconds")):

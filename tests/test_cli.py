@@ -83,6 +83,20 @@ class TestBadShapes:
         line = self._error_of(["simulate", "--experts", "3"], capsys)
         assert "top_k cannot exceed the expert count" in line
 
+    @pytest.mark.parametrize("command", ["simulate", "graph", "chaos"])
+    @pytest.mark.parametrize("machines,experts,world", [
+        ("1", "3", 8), ("2", "12", 16),
+    ])
+    def test_experts_must_split_over_the_gpus(
+        self, capsys, command, machines, experts, world
+    ):
+        line = self._error_of([
+            command, "--model", "moe-bert",
+            "--machines", machines, "--experts", experts,
+        ], capsys)
+        assert f"{experts} experts cannot be evenly split" in line
+        assert f"over {world} workers" in line
+
     def test_shape_flags_must_be_positive(self, capsys):
         for flag in ("--experts", "--batch-size", "--seq-len", "--top-k"):
             line = self._error_of(["plan", flag, "0"], capsys)

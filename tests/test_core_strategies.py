@@ -231,22 +231,6 @@ class TestGoldenRegression:
 
 
 class TestPipelinedExpertCentric:
-    def test_single_chunk_degenerates_to_plain_ec(self):
-        config = small_config()
-        cluster = small_cluster()
-        workload = build_workload(config, cluster)
-        features = JanusFeatures(ec_pipeline_chunks=1)
-        ec = expert_centric_engine(
-            config, cluster, workload=workload, features=features
-        ).run_iteration()
-        pipelined = pipelined_expert_centric_engine(
-            config, cluster, workload=workload, features=features
-        ).run_iteration()
-        assert pipelined.seconds == pytest.approx(ec.seconds, rel=1e-9)
-        np.testing.assert_allclose(
-            pipelined.nic_egress_bytes, ec.nic_egress_bytes, rtol=1e-9
-        )
-
     def test_traffic_matches_plain_ec(self):
         """Chunking reschedules the All-to-All, it must not change the
         byte volume."""
@@ -386,8 +370,8 @@ class TestCustomStrategyExtension:
         class Impostor(BlockStrategy):
             name = "data-centric"
 
-            def run_block(self, ctx, rank, index, phase):
-                yield None
+            def worker_tasks(self, ctx, rank, index, phase):
+                return []
 
         with pytest.raises(ValueError, match="already registered"):
             register_strategy(Impostor)
@@ -396,8 +380,8 @@ class TestCustomStrategyExtension:
         from repro.core import register_strategy
 
         class Nameless(BlockStrategy):
-            def run_block(self, ctx, rank, index, phase):
-                yield None
+            def worker_tasks(self, ctx, rank, index, phase):
+                return []
 
         with pytest.raises(ValueError):
             register_strategy(Nameless)
@@ -460,19 +444,19 @@ class TestContextStrategyBlocks:
             {1: "expert-centric", 3: "data-centric", 5: "pipelined-ec"},
         )
         # Run via a captured context: grab it from the per-iteration
-        # setup hook (invoked under both schedulers).
+        # service-lane hook.
         captured = {}
-        original = DataCentricStrategy.setup
+        original = DataCentricStrategy.service_lanes
 
-        def capture(self, ctx, forward_only):
+        def capture(self, ctx, graph, forward_only):
             captured["ctx"] = ctx
-            return original(self, ctx, forward_only)
+            return original(self, ctx, graph, forward_only)
 
-        DataCentricStrategy.setup = capture
+        DataCentricStrategy.service_lanes = capture
         try:
             engine.run_iteration()
         finally:
-            DataCentricStrategy.setup = original
+            DataCentricStrategy.service_lanes = original
         ctx = captured["ctx"]
         assert ctx.blocks_of("expert-centric") == (1,)
         assert ctx.blocks_of("data-centric") == (3,)

@@ -388,19 +388,15 @@ class TestCacheAttributionAndPooling:
     def test_invalidate_replicas_drops_pool(self):
         layout, executor = self._executor()
         run_iteration(executor, layout, tokens_per_worker=4)
-        first = {
-            key: id(replica)
-            for key, replica in executor._replica_pool.items()
-        }
+        # Hold the first pool's replicas so their identities stay unique
+        # (a freed object's id() may be reused by a new one).
+        first = dict(executor._replica_pool)
         executor.invalidate_replicas()
         assert executor._replica_pool == {}
         run_iteration(executor, layout, tokens_per_worker=4, seed=1)
-        second = {
-            key: id(replica)
-            for key, replica in executor._replica_pool.items()
-        }
+        second = executor._replica_pool
         assert set(first) == set(second)
-        assert all(first[key] != second[key] for key in first)
+        assert all(first[key] is not second[key] for key in first)
 
     def test_import_state_invalidates_pool(self):
         layout, executor = self._executor()

@@ -1,10 +1,12 @@
-"""Property test: the task-graph scheduler is bit-identical to legacy.
+"""Property test: degenerate schedules are bit-identical to expert-centric.
 
-For every built-in paradigm and a randomized sweep of model/cluster
-shapes, running the same seeded iteration under ``scheduler="taskgraph"``
-and ``scheduler="legacy"`` must produce *exactly* equal simulated seconds,
-NIC egress bytes, and simulation-kernel counters (events processed and
-processes started) — the graph adds structure, not events.
+``microbatch-ec`` with one micro-batch and ``pipelined-ec`` with one chunk
+are expert-centric blocks spelled differently.  For a randomized sweep of
+model/cluster shapes, the same seeded iteration must produce *exactly*
+equal simulated seconds and NIC egress bytes.  Micro-batching at M=1 builds
+the very same graph, so the simulation-kernel counters (events processed,
+processes started) agree too; pipelining at K=1 keeps a separate combiner
+lane, so its counters legitimately differ.
 """
 
 import numpy as np
@@ -12,16 +14,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import strategy_engine
+from repro.core import (
+    JanusFeatures,
+    build_workload,
+    expert_centric_engine,
+    pipelined_expert_centric_engine,
+    strategy_engine,
+)
 from repro.metrics import MetricsRegistry
 
 from tests.conftest import small_cluster, small_config
 
-PARADIGMS = ("expert-centric", "data-centric", "pipelined-ec")
+# Each degenerate variant, the features that make it degenerate, and how
+# many of the (seconds, bytes, events, processes) fields must agree.
+VARIANTS = {
+    "microbatch-ec": (JanusFeatures(micro_batches=1), 4),
+    "pipelined-ec": (JanusFeatures(ec_pipeline_chunks=1), 2),
+}
 
 
-def _run(paradigm, scheduler, machines, experts_per_worker, batch,
-         imbalance, seed):
+def _run(paradigm, features, machines, experts_per_worker, batch,
+         imbalance, seed, forward_only=False):
     experts = machines * 2 * experts_per_worker  # world size = machines * 2
     config = small_config(
         batch_size=batch, experts_per_block={1: experts, 3: experts}
@@ -30,9 +43,9 @@ def _run(paradigm, scheduler, machines, experts_per_worker, batch,
     engine = strategy_engine(
         paradigm, config, small_cluster(machines, 2),
         rng=np.random.default_rng(seed), imbalance=imbalance,
-        metrics=registry, scheduler=scheduler,
+        features=features, metrics=registry,
     )
-    result = engine.run_iteration()
+    result = engine.run_iteration(forward_only=forward_only)
     return (
         result.seconds,
         tuple(float(b) for b in result.nic_egress_bytes),
@@ -43,34 +56,44 @@ def _run(paradigm, scheduler, machines, experts_per_worker, batch,
 
 class TestTaskGraphBitEquivalence:
     @given(
-        paradigm=st.sampled_from(PARADIGMS),
+        variant=st.sampled_from(sorted(VARIANTS)),
         machines=st.integers(2, 3),
         experts_per_worker=st.integers(1, 2),
         batch=st.sampled_from([8, 16]),
         imbalance=st.sampled_from([0.0, 0.3, 0.6]),
         seed=st.integers(0, 2**16),
     )
-    @settings(max_examples=15, deadline=None)
-    def test_schedulers_agree_exactly(
-        self, paradigm, machines, experts_per_worker, batch, imbalance, seed
+    @settings(max_examples=16, deadline=None)
+    def test_degenerate_schedules_agree_exactly(
+        self, variant, machines, experts_per_worker, batch, imbalance, seed
     ):
-        args = (machines, experts_per_worker, batch, imbalance, seed)
-        legacy = _run(paradigm, "legacy", *args)
-        graphed = _run(paradigm, "taskgraph", *args)
-        assert graphed == legacy  # exact: seconds, bytes, kernel counters
+        features, fields = VARIANTS[variant]
+        args = (features, machines, experts_per_worker, batch, imbalance,
+                seed)
+        ec = _run("expert-centric", *args)
+        degenerate = _run(variant, *args)
+        assert degenerate[:fields] == ec[:fields]  # exact
 
-    @pytest.mark.parametrize("paradigm", PARADIGMS)
-    def test_forward_only_agrees_exactly(self, paradigm):
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_forward_only_agrees_exactly(self, variant):
+        features, fields = VARIANTS[variant]
+        args = (features, 2, 1, 16, 0.3, 0)
+        ec = _run("expert-centric", *args, forward_only=True)
+        degenerate = _run(variant, *args, forward_only=True)
+        assert degenerate[:fields] == ec[:fields]
+
+    def test_single_chunk_degenerates_to_plain_ec(self):
         config = small_config()
-        results = []
-        for scheduler in ("legacy", "taskgraph"):
-            engine = strategy_engine(
-                paradigm, config, small_cluster(),
-                rng=np.random.default_rng(0), imbalance=0.3,
-                scheduler=scheduler,
-            )
-            result = engine.run_iteration(forward_only=True)
-            results.append(
-                (result.seconds, tuple(map(float, result.nic_egress_bytes)))
-            )
-        assert results[0] == results[1]
+        cluster = small_cluster()
+        workload = build_workload(config, cluster)
+        features = JanusFeatures(ec_pipeline_chunks=1)
+        ec = expert_centric_engine(
+            config, cluster, workload=workload, features=features
+        ).run_iteration()
+        pipelined = pipelined_expert_centric_engine(
+            config, cluster, workload=workload, features=features
+        ).run_iteration()
+        assert pipelined.seconds == ec.seconds
+        np.testing.assert_array_equal(
+            pipelined.nic_egress_bytes, ec.nic_egress_bytes
+        )
