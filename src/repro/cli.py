@@ -36,7 +36,9 @@ Model names: moe-bert, moe-gpt, moe-transformer-xl, pr-moe (see
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
+import time
 from pathlib import Path
 from typing import List, Optional
 
@@ -76,6 +78,35 @@ from .units import GIB
 
 # Simulation failures the CLI reports as one clean line, not a traceback.
 _SIMULATION_ERRORS = (OutOfMemoryError, PullFailedError, StalledSimulationError)
+
+
+class _GcMeter:
+    """Collector activity from ``gc.callbacks`` over a profiled run.
+
+    cProfile charges a collector pause to whichever function happened to
+    allocate when it struck, so the profile alone hides what garbage
+    collection costs; this meter reports it as one summary line.
+    """
+
+    def __init__(self):
+        self.collections = [0, 0, 0]
+        self.seconds = 0.0
+        self._start = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.collections[info["generation"]] += 1
+            self.seconds += time.perf_counter() - self._start
+
+    def summary(self) -> str:
+        counts = " ".join(
+            f"gen{generation}={count}"
+            for generation, count in enumerate(self.collections)
+        )
+        return f"gc: collections {counts}, {self.seconds:.3f} s collecting"
+
 
 MODEL_CHOICES = {
     "moe-bert": moe_bert,
@@ -262,13 +293,15 @@ def cmd_simulate(args) -> int:
         trace = TraceRecorder()
         kwargs["metrics"] = registry
         kwargs["trace"] = trace
-    profiler = None
+    profiler = gc_meter = None
     try:
         engine = engine_for(args.paradigm, config, cluster, **kwargs)
         if args.profile or args.profile_out is not None:
             import cProfile
 
             profiler = cProfile.Profile()
+            gc_meter = _GcMeter()
+            gc.callbacks.append(gc_meter)
             profiler.enable()
         try:
             if args.iterations > 1:
@@ -280,6 +313,7 @@ def cmd_simulate(args) -> int:
         finally:
             if profiler is not None:
                 profiler.disable()
+                gc.callbacks.remove(gc_meter)
     except _SIMULATION_ERRORS as exc:
         print(f"{config.name} / {args.paradigm}: {exc}", file=sys.stderr)
         return 1
@@ -292,6 +326,7 @@ def cmd_simulate(args) -> int:
         if args.profile:
             stats = pstats.Stats(profiler, stream=sys.stdout)
             stats.sort_stats("cumulative").print_stats(25)
+        print(gc_meter.summary())
     if args.metrics_out is not None:
         report = build_run_report(
             results, registry,
@@ -748,12 +783,14 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--profile", action="store_true",
         help="run under cProfile and print the top-25 functions by "
-             "cumulative time (hot-path work starts from data)",
+             "cumulative time, then one line of garbage-collector "
+             "activity (hot-path work starts from data)",
     )
     simulate.add_argument(
         "--profile-out", default=None, metavar="PATH",
-        help="dump the raw cProfile stats here (implies --profile; load "
-             "with pstats.Stats(PATH) or snakeviz for offline analysis)",
+        help="dump the raw cProfile stats here (implies profiling and the "
+             "gc summary line; load with pstats.Stats(PATH) or snakeviz "
+             "for offline analysis)",
     )
     simulate.add_argument(
         "--metrics-out", default=None, metavar="PATH",

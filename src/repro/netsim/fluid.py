@@ -75,8 +75,13 @@ _EPSILON = 1e-12
 _FORCE_FINISH_REL = 1e-9
 
 
-class Flow:
-    """One transfer in flight.
+class Flow(Event):
+    """One transfer in flight; the flow is its own completion event.
+
+    The flow triggers (with value ``None``) when its last byte lands, so
+    processes wait on it directly; :attr:`done` is the flow itself.  A
+    flow never holds itself as its value, so a finished flow is freed by
+    reference counting rather than left as cyclic garbage.
 
     Attributes:
         path: directed link ids the flow crosses (may be empty for a
@@ -84,14 +89,14 @@ class Flow:
         size: total bytes.
         remaining: bytes still to move.
         rate: current fair-share rate in bytes/second (0 until activated).
-        done: event triggered with the flow when the last byte lands.
+        done: the flow itself, the event to wait on for completion.
     """
 
     _ids = itertools.count()
 
     __slots__ = (
         "id", "path", "path_index", "size", "latency",
-        "tag", "created_at", "started_at", "completed_at", "done",
+        "tag", "created_at", "started_at", "completed_at",
         "_net", "_row", "_remaining", "_rate",
     )
 
@@ -103,7 +108,9 @@ class Flow:
         size: float,
         latency: float,
         tag: Optional[Hashable] = None,
+        network: Optional["FluidNetwork"] = None,
     ):
+        super().__init__(env)
         self.id = next(Flow._ids)
         self.path = path
         self.path_index = path_index
@@ -113,30 +120,38 @@ class Flow:
         self.created_at = env.now
         self.started_at: Optional[float] = None
         self.completed_at: Optional[float] = None
-        self.done: Event = env.event()
-        # While active, remaining/rate live in the network's packed arrays;
-        # _net/_row point at the row.  Before activation and after
-        # completion the cached scalars below are authoritative.
-        self._net: Optional["FluidNetwork"] = None
+        # The network that carries the flow (None for one that never
+        # starts, e.g. a dropped message).  While active (_row >= 0),
+        # remaining/rate live in the network's packed arrays at _row;
+        # before activation and after completion the cached scalars below
+        # are authoritative.
+        self._net = network
         self._row = -1
         self._remaining = float(size)
         self._rate = 0.0
 
     @property
+    def done(self) -> "Flow":
+        """The completion event: the flow itself."""
+        return self
+
+    @property
     def remaining(self) -> float:
         """Bytes still to move (live view while the flow is active)."""
-        net = self._net
-        if net is not None:
-            return float(net._remaining[self._row])
+        if self._row >= 0:
+            return float(self._net._remaining[self._row])
         return self._remaining
 
     @property
     def rate(self) -> float:
         """Current fair-share rate (live view while the flow is active)."""
-        net = self._net
-        if net is not None:
-            return float(net._rates[self._row])
+        if self._row >= 0:
+            return float(self._net._rates[self._row])
         return self._rate
+
+    def _start(self) -> None:
+        """End of the latency stage: join the network's active set."""
+        self._net._activate(self)
 
     @property
     def duration(self) -> Optional[float]:
@@ -333,18 +348,17 @@ class FluidNetwork:
             path, path_index = self.resolve_path(path)
         if size < 0:
             raise ValueError(f"size must be non-negative, got {size}")
-        flow = Flow(self.env, path, path_index, size, latency, tag=tag)
+        flow = Flow(
+            self.env, path, path_index, size, latency, tag=tag, network=self
+        )
         if latency > 0:
-            # The latency stage is a plain timer callback, not a Process:
-            # at fleet scale every point-to-point flow passes through here.
-            timer = self.env.timeout(latency, value=flow)
-            timer.callbacks.append(self._activate_event)
+            # The latency stage is one kernel callback record calling a
+            # plain function — no Process, Timeout or bound method: at
+            # fleet scale every point-to-point flow passes through here.
+            self.env.call_later(latency, Flow._start, flow)
         else:
             self._activate(flow)
         return flow
-
-    def _activate_event(self, event) -> None:
-        self._activate(event._value)
 
     def _activate(self, flow: Flow) -> None:
         flow.started_at = self.env.now
@@ -388,7 +402,6 @@ class FluidNetwork:
         self._live_count += 1
         self._n = row + 1
         self._active.append(flow)
-        flow._net = self
         flow._row = row
 
     def _intern_group(self, path_index: Tuple[int, ...]) -> int:
@@ -810,11 +823,9 @@ class FluidNetwork:
         next_done = float(
             (self._remaining[:n][moving] / rates[moving]).min()
         )
-        timer = self.env.timeout(max(next_done, 0.0), value=self._generation)
-        timer.callbacks.append(self._on_timer_event)
-
-    def _on_timer_event(self, event) -> None:
-        self._on_timer(event._value)
+        self.env.call_later(
+            max(next_done, 0.0), self._on_timer, self._generation
+        )
 
     def _on_timer(self, generation: int) -> None:
         if generation != self._generation:
@@ -874,12 +885,12 @@ class FluidNetwork:
         self._schedule_recompute()
 
     def _finish(self, flow: Flow) -> None:
-        flow._net = None
+        flow._row = -1
         flow._remaining = 0.0
         flow._rate = 0.0
         flow.completed_at = self.env.now
         self.total_bytes_completed += flow.size
-        flow.done.succeed(flow)
+        flow.succeed()
 
     # -- introspection -------------------------------------------------------
 

@@ -4,6 +4,7 @@ from .core import (
     AllOf,
     AnyOf,
     Condition,
+    ConditionValue,
     Environment,
     Event,
     Interrupt,
@@ -26,6 +27,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
+    "ConditionValue",
     "Container",
     "Environment",
     "Event",

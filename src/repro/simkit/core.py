@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from collections.abc import Mapping
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "Condition",
     "AllOf",
     "AnyOf",
+    "ConditionValue",
     "Interrupt",
     "SimulationError",
     "StalledSimulationError",
@@ -73,9 +75,11 @@ class Event:
 
     Processes wait on events by yielding them.  Callbacks registered through
     :attr:`callbacks` run when the event is processed by the environment.
+    ``_eid`` is the event's tie-break sequence number, assigned when it is
+    scheduled (an event is scheduled at most once).
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_exception", "_defused")
+    __slots__ = ("env", "callbacks", "_value", "_exception", "_defused", "_eid")
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -177,13 +181,18 @@ class Initialize(Event):
     ):
         super().__init__(env)
         self._value = None
-        self.callbacks.append(process._resume)
+        self.callbacks.append(process)
         env._schedule(self, priority=priority)
 
 
 class Process(Event):
     """Wraps a generator; the process itself is an event that triggers when
-    the generator returns (with its return value) or raises."""
+    the generator returns (with its return value) or raises.
+
+    A process is its own resume callback (``__call__`` is :meth:`_resume`),
+    so waiting on an event appends the process itself to the event's
+    callbacks instead of allocating a bound method per wait.
+    """
 
     __slots__ = ("_generator", "_target", "name", "daemon")
 
@@ -229,10 +238,10 @@ class Process(Event):
         # Detach from the old target so its trigger no longer resumes us.
         if self._target is not None and self._target.callbacks is not None:
             try:
-                self._target.callbacks.remove(self._resume)
+                self._target.callbacks.remove(self)
             except ValueError:
                 pass
-        event.callbacks = [self._resume]
+        event.callbacks = [self]
         self.env._schedule(event, priority=0)
 
     def _resume(self, event: Event) -> None:
@@ -267,16 +276,20 @@ class Process(Event):
                 event = target
                 continue
             self._target = target
-            target.callbacks.append(self._resume)
+            target.callbacks.append(self)
             break
         self.env._active_process = None
+
+    __call__ = _resume
 
 
 class Condition(Event):
     """Waits on a set of events until ``evaluate`` says the condition holds.
 
-    The value of a condition is a dict mapping each triggered constituent
-    event to its value, in trigger order.
+    The value of a condition maps each constituent event that has fired
+    to its value, in constituent order; :meth:`_trigger_value` builds it.
+    A condition is its own callback on every constituent (``__call__`` is
+    :meth:`_check`).
     """
 
     __slots__ = ("_events", "_evaluate", "_count")
@@ -302,27 +315,64 @@ class Condition(Event):
                 self._check(event)
             else:
                 assert event.callbacks is not None
-                event.callbacks.append(self._check)
+                event.callbacks.append(self)
 
-    def _collect_values(self) -> dict:
+    def _trigger_value(self) -> Any:
         # Only events that actually fired (callbacks processed) belong in
         # the condition's value: a Timeout carries its value from creation
         # but has not "happened" until the clock reaches it.
         return {
             event: event._value
             for event in self._events
-            if event.processed and event._exception is None
+            if event.callbacks is None and event._exception is None
         }
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             return
         self._count += 1
         if event._exception is not None:
             event._defused = True
             self.fail(event._exception)
         elif self._evaluate(len(self._events), self._count):
-            self.succeed(self._collect_values())
+            self.succeed(self._trigger_value())
+
+    __call__ = _check
+
+
+class ConditionValue(Mapping):
+    """The value of an :class:`AllOf`: ``{event: value}`` built on demand.
+
+    When an ``AllOf`` triggers, every constituent has fired successfully
+    and an event's value never changes afterwards, so building the dict
+    lazily gives exactly the dict an eager build would have.  Most waiters
+    never read it (fleet-scale All-to-All joins span tens of thousands of
+    flows), so the build is skipped unless someone does.  Compares equal
+    to the eager dict.
+    """
+
+    __slots__ = ("_events", "_dict")
+
+    def __init__(self, events: List[Event]):
+        self._events = events
+        self._dict: Optional[dict] = None
+
+    def todict(self) -> dict:
+        if self._dict is None:
+            self._dict = {event: event._value for event in self._events}
+        return self._dict
+
+    def __getitem__(self, event: Event) -> Any:
+        return self.todict()[event]
+
+    def __iter__(self):
+        return iter(self.todict())
+
+    def __len__(self) -> int:
+        return len(self.todict())
+
+    def __repr__(self) -> str:
+        return repr(self.todict())
 
 
 def _all_done(total: int, done: int) -> bool:
@@ -334,21 +384,44 @@ def _any_done(total: int, done: int) -> bool:
 
 
 class AllOf(Condition):
-    """Triggered when all constituent events have triggered."""
+    """Triggered when all constituent events have triggered; its value is
+    a lazily built :class:`ConditionValue`."""
 
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env, _all_done, events)
 
+    def _trigger_value(self) -> ConditionValue:
+        return ConditionValue(self._events)
+
 
 class AnyOf(Condition):
-    """Triggered when any constituent event has triggered."""
+    """Triggered when any constituent event has triggered; its value is
+    fixed at trigger time (later-firing constituents are not in it)."""
 
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env, _any_done, events)
+
+
+class _Call:
+    """A kernel callback record: runs ``fn(arg)`` when its time comes.
+
+    Scheduled by :meth:`Environment.call_later`.  Nobody waits on it, so
+    it carries no callbacks list, value or exception state — it exists
+    only to hold its place in the ``(time, priority, eid)`` order.
+    """
+
+    __slots__ = ("_fn", "_arg", "_eid")
+
+    def __init__(self, fn: Callable[[Any], None], arg: Any):
+        self._fn = fn
+        self._arg = arg
+
+    def _process_callbacks(self) -> None:
+        self._fn(self._arg)
 
 
 class Environment:
@@ -403,6 +476,22 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
+    def call_later(
+        self, delay: float, callback: Callable[[Any], None], value: Any = None
+    ) -> None:
+        """Run ``callback(value)`` ``delay`` time units from now.
+
+        The call takes exactly the place in the event order that a
+        :class:`Timeout` of the same delay created at this point would,
+        and counts as one processed event, but allocates one small record
+        instead of an event and its callbacks list.  Use it for internal
+        timers nobody waits on; per-flow callers pass a plain function
+        rather than a freshly bound method.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay}")
+        self._schedule(_Call(callback, value), delay=delay)
+
     def process(
         self,
         generator: Generator,
@@ -426,17 +515,17 @@ class Environment:
 
     # -- scheduling --------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
-        self._eid += 1
+    def _schedule(self, event: Any, delay: float = 0.0, priority: int = 1) -> None:
+        self._eid = event._eid = self._eid + 1
         if delay == 0.0 and priority == 1:
-            self._immediate.append((self._eid, event))
+            self._immediate.append(event)
         else:
             key = (self._now + delay, priority)
             bucket = self._buckets.get(key)
             if bucket is None:
                 self._buckets[key] = bucket = deque()
                 heapq.heappush(self._queue, key)
-            bucket.append((self._eid, event))
+            bucket.append(event)
 
     def defer_to_instant_end(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` once the current instant's cohort has drained.
@@ -498,19 +587,22 @@ class Environment:
                 key = queue[0]
                 if key[0] == self._now:
                     bucket = self._buckets[key]
-                    if (key[1], bucket[0][0]) < (1, immediate[0][0]):
-                        event = bucket.popleft()[1]
+                    priority = key[1]
+                    if priority < 1 or (
+                        priority == 1 and bucket[0]._eid < immediate[0]._eid
+                    ):
+                        event = bucket.popleft()
                         if not bucket:
                             del self._buckets[key]
                             heapq.heappop(queue)
             if event is None:
-                event = immediate.popleft()[1]
+                event = immediate.popleft()
         else:
             if not queue:
                 raise SimulationError("no more events to process")
             key = queue[0]
             bucket = self._buckets[key]
-            event = bucket.popleft()[1]
+            event = bucket.popleft()
             if not bucket:
                 del self._buckets[key]
                 heapq.heappop(queue)

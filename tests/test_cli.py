@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import gc
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _GcMeter, build_parser, main
 
 
 class TestParser:
@@ -298,6 +300,31 @@ class TestObservabilityCommands:
         assert "profile stats written" in out
         assert "cumulative" in out  # the stdout table still prints
         assert stats_path.exists()
+
+    def test_simulate_profile_prints_gc_summary(self, tmp_path, capsys):
+        import re
+
+        pattern = re.compile(
+            r"^gc: collections gen0=\d+ gen1=\d+ gen2=\d+, "
+            r"\d+\.\d{3} s collecting$",
+            re.MULTILINE,
+        )
+        assert main(["simulate", *self.SMALL, "--profile"]) == 0
+        out = capsys.readouterr().out
+        # One summary line, after the pstats table.
+        assert len(pattern.findall(out)) == 1
+        assert pattern.search(out).start() > out.index("cumulative")
+        assert main([
+            "simulate", *self.SMALL,
+            "--profile-out", str(tmp_path / "sim.pstats"),
+        ]) == 0
+        assert len(pattern.findall(capsys.readouterr().out)) == 1
+        # The meter unregisters itself once the profiled run ends.
+        assert not any(isinstance(cb, _GcMeter) for cb in gc.callbacks)
+
+    def test_simulate_without_profile_prints_no_gc_summary(self, capsys):
+        assert main(["simulate", *self.SMALL]) == 0
+        assert "gc: collections" not in capsys.readouterr().out
 
     def test_report_command_writes_multi_iteration_report(self, tmp_path,
                                                           capsys):
