@@ -7,11 +7,13 @@ with the fleet, 8 per machine) — and gates on two properties:
 
 * **structure** (host-independent): wall microseconds per simulated
   event may grow at most ``MAX_PER_EVENT_GROWTH``x from the smallest to
-  the largest fleet.  Event counts grow ~quadratically with machines
-  (every machine pair exchanges All-to-All traffic), so per-event cost
-  is the scale-invariant: any superlinear term in the solver, the event
-  core or the flow tables shows up here before it shows up anywhere
-  else;
+  the largest fleet.  Flows grow ~quadratically with machines (every
+  machine pair exchanges All-to-All traffic), but each collective is
+  one flow group, so *events* grow only linearly — with the task graph.
+  The per-flow row work (admission, water-fill, retirement) is thus
+  spread over linearly many events and per-event cost rises with the
+  fleet: the law is no longer scale-invariant past the quick subset's
+  8/16-machine span and awaits re-derivation;
 * **wall clock** (calibration-rescaled like the speed suite): per-point
   medians vs the committed ``benchmarks/BENCH_scale.json``, plus an
   absolute budget — the 128-machine iteration must simulate in under

@@ -2,13 +2,14 @@
 
 from .collectives import all_reduce, all_to_all, all_to_all_proc, uniform_matrix
 from .fabric import Fabric
-from .fluid import Flow, FluidNetwork
+from .fluid import Flow, FlowGroup, FluidNetwork
 from .goodput import GoodputResult, measure_all_to_all_goodput
 from .memory import MemoryTracker, OutOfMemoryError
 
 __all__ = [
     "Fabric",
     "Flow",
+    "FlowGroup",
     "FluidNetwork",
     "GoodputResult",
     "MemoryTracker",

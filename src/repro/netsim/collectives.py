@@ -3,7 +3,7 @@
 The only collective MoE expert parallelism needs is All-to-All (token
 dispatch and combine).  It is *synchronous*: the operation completes when the
 busiest participant has sent and received everything (§3.1 of the paper) —
-modelled here by waiting on every constituent flow.
+modelled here by joining every constituent flow.
 
 Flows are decomposed hierarchically to keep the fluid solver fast while
 preserving where contention happens:
@@ -12,16 +12,30 @@ preserving where contention happens:
 * inter-machine traffic: per (src machine, dst machine) pair, the GPU-pair
   bytes are aggregated and split across the machine's NICs (NCCL/Tutel
   similarly aggregate cross-node All-to-All traffic per NIC channel).
+
+Each collective is one :meth:`FluidNetwork.transfer_group`: its flows are
+rows of a cached per-cluster *row plan* (route, latency and matrix cell
+per candidate flow), filtered to the non-empty ones, and the group is the
+event the caller waits on.
+
+Collective flows bypass :meth:`Fabric.transfer` and with it the fault
+injector's message-loss intercept.  That is exact, not an approximation:
+``MessageLoss`` only accepts ``LOSSABLE_MESSAGE_KINDS`` (control-plane
+pull requests and gradient pushes), so no fault plan can name an
+``a2a-*`` or ``ar-*`` flow, and the intercept never drew a random number
+for one.  Link faults still apply — they rescale link capacities, which
+collective rows share with every other flow.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import itertools
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from ..cluster import Device
-from ..simkit import AllOf, Event
+from ..simkit import Event
 from .fabric import Fabric
 
 __all__ = ["all_reduce", "all_to_all", "all_to_all_proc", "uniform_matrix"]
@@ -32,6 +46,80 @@ def uniform_matrix(world_size: int, bytes_per_pair: float) -> np.ndarray:
     matrix = np.full((world_size, world_size), float(bytes_per_pair))
     np.fill_diagonal(matrix, 0.0)
     return matrix
+
+
+class _Plan(NamedTuple):
+    """Candidate flows of one collective phase, in issue order: the
+    ``(src, dst)`` cell each reads its size from, and its cached route."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    paths: List[Tuple[int, ...]]
+    latencies: np.ndarray
+
+
+def _plan(fabric: Fabric, key: str, candidates: Callable[[], list]) -> _Plan:
+    """The plan cached under ``key``, built once per cluster from the
+    ``(src, dst, (path, latency, path_index))`` list ``candidates()``."""
+    plan = fabric.collective_plans.get(key)
+    if plan is None:
+        found = candidates()
+        plan = fabric.collective_plans[key] = _Plan(
+            np.array([row[0] for row in found], dtype=np.int64),
+            np.array([row[1] for row in found], dtype=np.int64),
+            [row[2][2] for row in found],
+            np.array([row[2][1] for row in found], dtype=float),
+        )
+    return plan
+
+
+def _nonempty(plan: _Plan, sizes: np.ndarray):
+    """The plan's rows with a positive size: ``(paths, sizes, latencies)``."""
+    keep = sizes > 0
+    return (
+        list(itertools.compress(plan.paths, keep.tolist())),
+        sizes[keep],
+        plan.latencies[keep],
+    )
+
+
+def _start(fabric: Fabric, parts) -> Event:
+    """Start every ``(paths, sizes, latencies)`` part as one flow group."""
+    if not parts:
+        return fabric.network.transfer_group([], [], [])
+    paths, sizes, latencies = zip(*parts)
+    return fabric.network.transfer_group(
+        list(itertools.chain.from_iterable(paths)),
+        np.concatenate(sizes),
+        np.concatenate(latencies),
+    )
+
+
+def _machine_totals(matrix: np.ndarray, machines: int, g: int) -> np.ndarray:
+    """Per machine-pair totals, bitwise ``matrix[src block, dst block].sum()``.
+
+    NumPy sums a strided 2-D slice by buffering it in memory order and
+    pairwise-summing the buffer.  Gathering every block contiguously in
+    that order and reducing along the last axis performs the same
+    additions for all blocks at once.  Blocks larger than the iterator
+    buffer are summed in chunks, so those fall back to one slice sum each.
+    """
+    if g * g > np.getbufsize():
+        return np.array([
+            [
+                matrix[s * g:(s + 1) * g, d * g:(d + 1) * g].sum()
+                for d in range(machines)
+            ]
+            for s in range(machines)
+        ])
+    blocks = matrix.reshape(machines, g, machines, g)
+    if abs(matrix.strides[0]) >= abs(matrix.strides[1]):
+        blocks = blocks.transpose(0, 2, 1, 3)  # row-major blocks
+    else:
+        blocks = blocks.transpose(0, 2, 3, 1)  # column-major blocks
+    return np.ascontiguousarray(blocks).reshape(
+        machines, machines, g * g
+    ).sum(axis=2)
 
 
 def all_to_all(
@@ -63,73 +151,42 @@ def all_to_all(
     if (matrix < 0).any():
         raise ValueError("send matrix entries must be non-negative")
 
-    done_events: List[Event] = []
-
-    # Intra-machine flows: GPU pair granularity over NVLink.
-    for machine in range(cluster.num_machines):
-        base = machine * cluster.gpus_per_machine
-        for src_local in range(cluster.gpus_per_machine):
-            for dst_local in range(cluster.gpus_per_machine):
-                if src_local == dst_local:
-                    continue
-                size = matrix[base + src_local, base + dst_local]
-                if size <= 0:
-                    continue
-                flow = fabric.transfer(
-                    Device.gpu(machine, src_local),
-                    Device.gpu(machine, dst_local),
-                    size,
-                    tag=("a2a-intra", machine, src_local, dst_local),
-                )
-                done_events.append(flow.done)
-
+    machines, g = cluster.num_machines, cluster.gpus_per_machine
+    route, gpu = fabric.route, Device.gpu
+    intra = _plan(fabric, "a2a-intra", lambda: [
+        (m * g + s, m * g + d, route(gpu(m, s), gpu(m, d)))
+        for m in range(machines)
+        for s in range(g)
+        for d in range(g)
+        if s != d
+    ])
+    parts = [_nonempty(intra, matrix[intra.src, intra.dst])]
     if hierarchical:
-        # Inter-machine flows: aggregate per machine pair, stripe over NICs.
-        num_nics = cluster.spec.num_nics
-        for src_machine in range(cluster.num_machines):
-            for dst_machine in range(cluster.num_machines):
-                if src_machine == dst_machine:
-                    continue
-                src_base = src_machine * cluster.gpus_per_machine
-                dst_base = dst_machine * cluster.gpus_per_machine
-                total = matrix[
-                    src_base : src_base + cluster.gpus_per_machine,
-                    dst_base : dst_base + cluster.gpus_per_machine,
-                ].sum()
-                if total <= 0:
-                    continue
-                per_nic = total / num_nics
-                for nic in range(num_nics):
-                    path, latency, path_index = fabric.nic_route(
-                        src_machine, dst_machine, nic
-                    )
-                    flow = fabric.network.transfer(
-                        path,
-                        per_nic,
-                        latency=latency,
-                        tag=("a2a-inter", src_machine, dst_machine, nic),
-                        path_index=path_index,
-                    )
-                    done_events.append(flow.done)
+        # Per machine pair, the summed payload striped over every NIC.
+        nics = cluster.spec.num_nics
+        stripes = _plan(fabric, "a2a-inter", lambda: [
+            (s, d, fabric.nic_route(s, d, nic))
+            for s in range(machines)
+            for d in range(machines)
+            if s != d
+            for nic in range(nics)
+        ])
+        totals = _machine_totals(matrix, machines, g)
+        paths, sizes, latencies = _nonempty(
+            stripes, totals[stripes.src, stripes.dst]
+        )
+        parts.append((paths, sizes / nics, latencies))
     else:
-        # Naive flat decomposition: one flow per cross-machine GPU pair,
-        # each pinned to the NIC of its source GPU.
-        for src_rank in range(world):
-            src = cluster.gpu_device(src_rank)
-            for dst_rank in range(world):
-                dst = cluster.gpu_device(dst_rank)
-                if src.machine == dst.machine:
-                    continue
-                size = matrix[src_rank, dst_rank]
-                if size <= 0:
-                    continue
-                flow = fabric.transfer(
-                    src, dst, size,
-                    tag=("a2a-flat", src_rank, dst_rank),
-                )
-                done_events.append(flow.done)
-
-    return AllOf(fabric.env, done_events)
+        # One flow per cross-machine GPU pair, on its source GPU's NIC.
+        device = cluster.gpu_device
+        pairs = _plan(fabric, "a2a-flat", lambda: [
+            (s, d, route(device(s), device(d)))
+            for s in range(world)
+            for d in range(world)
+            if device(s).machine != device(d).machine
+        ])
+        parts.append(_nonempty(pairs, matrix[pairs.src, pairs.dst]))
+    return _start(fabric, parts)
 
 
 def all_reduce(
@@ -155,54 +212,40 @@ def all_reduce(
         raise ValueError("bytes_per_rank must be non-negative")
     cluster = fabric.cluster
     world = cluster.world_size
-    done_events: List[Event] = []
     if bytes_per_rank == 0 or world <= 1:
-        return AllOf(fabric.env, done_events)
-
+        return _start(fabric, [])
+    machines, g = cluster.num_machines, cluster.gpus_per_machine
+    route, gpu, device = fabric.route, Device.gpu, cluster.gpu_device
+    rings = []
     if hierarchical:
-        g = cluster.gpus_per_machine
         if g > 1:
-            local_bytes = 2.0 * (g - 1) / g * bytes_per_rank
-            for machine in range(cluster.num_machines):
-                for src_local in range(g):
-                    flow = fabric.transfer(
-                        Device.gpu(machine, src_local),
-                        Device.gpu(machine, (src_local + 1) % g),
-                        local_bytes,
-                        tag=("ar-intra", machine, src_local),
-                    )
-                    done_events.append(flow.done)
-        n = cluster.num_machines
-        if n > 1:
-            inter_bytes = 2.0 * (n - 1) / n * bytes_per_rank
-            num_nics = cluster.spec.num_nics
-            per_nic = inter_bytes / num_nics
-            for machine in range(n):
-                dst_machine = (machine + 1) % n
-                for nic in range(num_nics):
-                    path, latency, path_index = fabric.nic_route(
-                        machine, dst_machine, nic
-                    )
-                    flow = fabric.network.transfer(
-                        path,
-                        per_nic,
-                        latency=latency,
-                        tag=("ar-inter", machine, dst_machine, nic),
-                        path_index=path_index,
-                    )
-                    done_events.append(flow.done)
+            ring = _plan(fabric, "ar-intra", lambda: [
+                (m * g + s, m * g + (s + 1) % g,
+                 route(gpu(m, s), gpu(m, (s + 1) % g)))
+                for m in range(machines)
+                for s in range(g)
+            ])
+            rings.append((ring, 2.0 * (g - 1) / g * bytes_per_rank))
+        if machines > 1:
+            nics = cluster.spec.num_nics
+            ring = _plan(fabric, "ar-inter", lambda: [
+                (m, (m + 1) % machines,
+                 fabric.nic_route(m, (m + 1) % machines, nic))
+                for m in range(machines)
+                for nic in range(nics)
+            ])
+            inter_bytes = 2.0 * (machines - 1) / machines * bytes_per_rank
+            rings.append((ring, inter_bytes / nics))
     else:
-        ring_bytes = 2.0 * (world - 1) / world * bytes_per_rank
-        for rank in range(world):
-            flow = fabric.transfer(
-                cluster.gpu_device(rank),
-                cluster.gpu_device((rank + 1) % world),
-                ring_bytes,
-                tag=("ar-flat", rank),
-            )
-            done_events.append(flow.done)
-
-    return AllOf(fabric.env, done_events)
+        ring = _plan(fabric, "ar-flat", lambda: [
+            (r, (r + 1) % world, route(device(r), device((r + 1) % world)))
+            for r in range(world)
+        ])
+        rings.append((ring, 2.0 * (world - 1) / world * bytes_per_rank))
+    return _start(fabric, [
+        (ring.paths, np.full(len(ring.paths), size), ring.latencies)
+        for ring, size in rings
+    ])
 
 
 def all_to_all_proc(fabric: Fabric, send_bytes: Sequence[Sequence[float]]):

@@ -48,12 +48,14 @@ class Fabric:
         # is ~70k routes per iteration.
         memo = getattr(cluster, "_fabric_route_memo", None)
         if memo is None:
-            memo = ({}, {})
+            memo = ({}, {}, {})
             cluster._fabric_route_memo = memo
         self._route_cache: Dict[tuple, tuple] = memo[0]
         # (src machine, dst machine, nic) -> same triple, for collectives
         # that stripe machine-pair traffic over the NICs directly.
         self._nic_route_cache: Dict[tuple, tuple] = memo[1]
+        # Collective row plans built from these routes (see collectives).
+        self.collective_plans: Dict[str, object] = memo[2]
 
     # -- communication -------------------------------------------------------
 
@@ -61,13 +63,8 @@ class Fabric:
         return sum(self._latency[link_id] for link_id in path)
 
     def nic_route(self, src_machine: int, dst_machine: int, nic: int):
-        """Cached ``(path, latency, path_index)`` for one NIC-to-NIC hop.
-
-        The hot loops of the collectives issue one flow per (machine
-        pair, NIC); resolving the pair of :class:`LinkId` objects, the
-        latency sum and the fluid-network path interning once per route
-        keeps that staging O(1) dictionary-free per flow.
-        """
+        """Cached ``(path, latency, path_index)`` for one NIC-to-NIC hop:
+        the stripes the collectives spread machine-pair traffic over."""
         key = (src_machine, dst_machine, nic)
         cached = self._nic_route_cache.get(key)
         if cached is None:
@@ -77,6 +74,18 @@ class Fabric:
             ))
             cached = (path, self.path_latency(path), path_index)
             self._nic_route_cache[key] = cached
+        return cached
+
+    def route(self, src: Device, dst: Device, nic_index: Optional[int] = None):
+        """Cached ``(path, latency, path_index)`` from ``src`` to ``dst``."""
+        key = (src, dst, nic_index)
+        cached = self._route_cache.get(key)
+        if cached is None:
+            path, path_index = self.network.resolve_path(
+                self.cluster.route(src, dst, nic_index=nic_index)
+            )
+            cached = (path, self.path_latency(path), path_index)
+            self._route_cache[key] = cached
         return cached
 
     def transfer(
@@ -92,15 +101,7 @@ class Fabric:
             dropped = self.fault_injector.intercept(src, dst, size, tag)
             if dropped is not None:
                 return dropped
-        key = (src, dst, nic_index)
-        cached = self._route_cache.get(key)
-        if cached is None:
-            path, path_index = self.network.resolve_path(
-                self.cluster.route(src, dst, nic_index=nic_index)
-            )
-            cached = (path, self.path_latency(path), path_index)
-            self._route_cache[key] = cached
-        path, latency, path_index = cached
+        path, latency, path_index = self.route(src, dst, nic_index)
         return self.network.transfer(
             path, size, latency=latency, tag=tag, path_index=path_index
         )

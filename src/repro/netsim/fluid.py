@@ -46,12 +46,17 @@ solver reruns on every flow arrival/departure):
   (``Environment.defer_to_instant_end``): a burst of arrivals/finishes at
   one timestamp — spread over any number of kernel events — triggers one
   water-filling pass for the whole cohort, not one per event.
+* A ledger row is owned by a point-to-point :class:`Flow` or by a
+  :class:`FlowGroup` (:meth:`FluidNetwork.transfer_group`): a collective's
+  flows are rows only, admitted by one vectorized append per start
+  instant and joined by a countdown, so they cost no per-flow object,
+  latency record or completion event.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,7 +70,7 @@ from ..simkit import Environment, Event
 # almost never (fleet-scale churn: nothing is worth keeping).
 _SOLVE_CACHE_BUDGET = 64 << 20
 
-__all__ = ["Flow", "FluidNetwork"]
+__all__ = ["Flow", "FlowGroup", "FluidNetwork"]
 
 _EPSILON = 1e-12
 # The _on_timer fallback may only force-finish a flow whose remaining bytes
@@ -167,6 +172,23 @@ class Flow(Event):
         )
 
 
+class FlowGroup(Event):
+    """A batch of flows started and joined as one unit; the group is its
+    own completion event.
+
+    Members are rows of the network's packed ledger, not :class:`Flow`
+    objects.  The group triggers (with value ``None``) once its last
+    member has landed, at the point in the event order where a join over
+    per-member completion events would have triggered.
+    """
+
+    __slots__ = ("_pending",)
+
+    def __init__(self, env: Environment, members: int):
+        super().__init__(env)
+        self._pending = members
+
+
 class _LinkBytesView:
     """Read-only mapping from link id to total bytes moved over it."""
 
@@ -203,7 +225,8 @@ class FluidNetwork:
         self._num_links = 0
         self._capacity_epoch = 0
         # Per-flow packed state; rows parallel _active, first _n valid.
-        self._active: List[Flow] = []
+        # Each row's owner is its Flow or the FlowGroup it belongs to.
+        self._active: List[object] = []
         self._paths = np.full((0, 2), -1, dtype=np.int64)
         self._remaining = np.zeros(0)
         self._rates = np.zeros(0)
@@ -300,9 +323,15 @@ class FluidNetwork:
 
     @property
     def active_flows(self) -> List[Flow]:
-        if self._dead_count:
-            return [flow for flow in self._active if flow is not None]
-        return list(self._active)
+        """Point-to-point flows moving bytes (group members are rows
+        only; see :attr:`live_rows`)."""
+        return [owner for owner in self._active if owner.__class__ is Flow]
+
+    @property
+    def live_rows(self) -> int:
+        """Ledger rows still moving bytes: active flows plus the started
+        members of every transfer group."""
+        return self._live_count
 
     # -- transfers ----------------------------------------------------------
 
@@ -360,29 +389,125 @@ class FluidNetwork:
             self._activate(flow)
         return flow
 
+    def transfer_group(
+        self,
+        path_indices: Sequence[Tuple[int, ...]],
+        sizes,
+        latencies,
+    ) -> FlowGroup:
+        """Start a batch of transfers that completes as one event.
+
+        Member ``i`` moves ``sizes[i]`` bytes over the packed path
+        ``path_indices[i]`` (see :meth:`resolve_path`) after a startup
+        delay of ``latencies[i]``.  Simulated times, bytes and event order
+        are exactly those of issuing the members one by one through
+        :meth:`transfer` and joining them with ``AllOf``:
+
+        * members that start at the same instant (``now + latency``) are
+          admitted by one kernel record, in member order, at the place of
+          the first one's latency record — the per-member records it
+          replaces would have run back to back in one calendar bucket;
+        * the member that lands last schedules the group's trigger with
+          ``call_later(0.0, ...)`` at the place its own completion event
+          would have been queued, so the trigger lands where the join's
+          would; the other members' completion events only advanced the
+          join's count, and dropping them reorders nothing else.
+
+        A group with no members triggers at once, like an empty ``AllOf``.
+        """
+        sizes = np.asarray(sizes, dtype=float)
+        latencies = np.asarray(latencies, dtype=float)
+        count = sizes.shape[0]
+        if len(path_indices) != count or latencies.shape != (count,):
+            raise ValueError(
+                "path_indices, sizes and latencies must have one entry "
+                "per member"
+            )
+        if count and (sizes.min() < 0 or latencies.min() < 0):
+            raise ValueError("sizes and latencies must be non-negative")
+        env = self.env
+        group = FlowGroup(env, count)
+        if not count:
+            group.succeed()
+            return group
+        # Start instant per member; zero-latency members start inside this
+        # call (-inf keeps them apart from a positive latency so small
+        # that ``now + latency == now``, which still takes a kernel turn).
+        starts = np.where(latencies > 0, env.now + latencies, -np.inf)
+        # Cohorts start at distinct instants, i.e. in distinct calendar
+        # buckets, so the order they are scheduled in is immaterial.
+        _, first, cohort_of = np.unique(
+            starts, return_index=True, return_inverse=True
+        )
+        for cohort, lead in enumerate(first.tolist()):
+            members = np.flatnonzero(cohort_of == cohort)
+            batch = (
+                group,
+                [path_indices[i] for i in members.tolist()],
+                sizes[members],
+            )
+            if latencies[lead] > 0:
+                env.call_later(float(latencies[lead]), self._admit, batch)
+            else:
+                self._admit(batch)
+        return group
+
     def _activate(self, flow: Flow) -> None:
         flow.started_at = self.env.now
         if flow.size <= 0 or not flow.path:
             # Local copy or pure-latency message: completes instantly once
             # the latency delay has elapsed.
-            self._finish(flow)
+            self._land(flow, flow.size)
             return
         self._advance()
         self._append_row(flow)
         self._schedule_recompute()
 
+    def _admit(self, batch) -> None:
+        """A group cohort's latency stage ended: its members join the
+        ledger in member order, exactly as one :meth:`_activate` per
+        member would have appended them; zero-byte and link-less members
+        land at once."""
+        group, paths, sizes = batch
+        group_of = self._group_of
+        gids = []
+        moving = []
+        for path_index, size in zip(paths, sizes.tolist()):
+            if size > 0 and path_index:
+                gid = group_of.get(path_index)
+                if gid is None:
+                    gid = self._intern_group(path_index)
+                gids.append(gid)
+                moving.append(size)
+            else:
+                # Not the group's last member while this cohort still has
+                # moving ones, so landing it ahead of them queues nothing.
+                self._land(group, size)
+        if gids:
+            self._advance()
+            self._append_rows(
+                group, np.array(gids, dtype=np.int64), np.array(moving)
+            )
+            self._schedule_recompute()
+
     # -- packed per-flow state ----------------------------------------------
+
+    def _reserve(self, rows: int) -> None:
+        """Grow the per-row arrays to hold at least ``rows`` rows."""
+        size = self._remaining.shape[0]
+        if rows <= size:
+            return
+        grown = max(32, 2 * size, rows)
+        self._paths = _grow(self._paths, grown, fill=-1)
+        self._remaining = _grow(self._remaining, grown)
+        self._rates = _grow(self._rates, grown)
+        self._sizes = _grow(self._sizes, grown)
+        self._gids = _grow(self._gids, grown)
+        self._live = _grow(self._live, grown)
 
     def _append_row(self, flow: Flow) -> None:
         row = self._n
-        if row == self._remaining.shape[0]:
-            grown = max(32, 2 * row)
-            self._paths = _grow(self._paths, grown, fill=-1)
-            self._remaining = _grow(self._remaining, grown)
-            self._rates = _grow(self._rates, grown)
-            self._sizes = _grow(self._sizes, grown)
-            self._gids = _grow(self._gids, grown)
-            self._live = _grow(self._live, grown)
+        self._reserve(row + 1)
         path_index = flow.path_index
         self._paths[row] = -1
         self._paths[row, : len(path_index)] = path_index
@@ -404,6 +529,29 @@ class FluidNetwork:
         self._active.append(flow)
         flow._row = row
 
+    def _append_rows(
+        self, owner: FlowGroup, gids: np.ndarray, sizes: np.ndarray
+    ) -> None:
+        """Vectorized :meth:`_append_row` for a cohort of group members:
+        the same row contents in the same order, with exact integer
+        group/link counts."""
+        row = self._n
+        end = row + gids.shape[0]
+        self._reserve(end)
+        paths = self._group_paths[gids]
+        self._paths[row:end] = paths
+        self._remaining[row:end] = sizes
+        self._rates[row:end] = 0.0
+        self._sizes[row:end] = sizes
+        self._gids[row:end] = gids
+        np.add.at(self._group_count, gids, 1)
+        self._gid_hi = max(self._gid_hi, int(gids.max()))
+        np.add.at(self._load_counts, paths[paths >= 0], 1)
+        self._live[row:end] = True
+        self._live_count += end - row
+        self._n = end
+        self._active.extend(itertools.repeat(owner, end - row))
+
     def _intern_group(self, path_index: Tuple[int, ...]) -> int:
         gid = self._num_groups
         if gid == self._group_count.shape[0]:
@@ -417,55 +565,62 @@ class FluidNetwork:
         self._group_of[path_index] = gid
         return gid
 
-    def _remove_rows(self, finished_mask: np.ndarray) -> List[Flow]:
-        """Retire the masked rows and return their flows.
-
-        Coalesced mode tombstones in O(finished); the uncoalesced
-        reference compacts the ledger eagerly (O(active) per call).
-        """
-        if self.coalesce:
-            return self._retire_rows(finished_mask)
-        n = self._n
-        keep = ~finished_mask
-        finished: List[Flow] = []
-        kept: List[Flow] = []
-        for flow, done in zip(self._active, finished_mask):
-            (finished if done else kept).append(flow)
-        for flow in finished:
-            self._group_count[self._gids[flow._row]] -= 1
-            for index in flow.path_index:
-                self._load_counts[index] -= 1
-        k = len(kept)
-        self._paths[:k] = self._paths[:n][keep]
-        self._remaining[:k] = self._remaining[:n][keep]
-        self._rates[:k] = self._rates[:n][keep]
-        self._sizes[:k] = self._sizes[:n][keep]
-        self._gids[:k] = self._gids[:n][keep]
-        first = int(np.argmax(finished_mask))
-        for row in range(first, k):
-            kept[row]._row = row
-        self._active = kept
-        self._n = k
-        self._live_count = k
-        return finished
-
-    def _retire_rows(self, finished_mask: np.ndarray) -> List[Flow]:
-        """Tombstone the masked rows: zero their rate, clear their live
-        bit and release their group/link bookkeeping.  The dead rows keep
-        their position (so live rows never move and no float is touched)
-        until :meth:`_compact` reclaims them."""
-        rows = np.flatnonzero(finished_mask)
-        active = self._active
-        finished = [active[int(row)] for row in rows]
-        for row in rows:
-            active[int(row)] = None
-        # In-place scatter-decrements: exact integer arithmetic, and no
-        # O(num_groups)/O(num_links) bincount allocation per instant.
+    def _release(self, rows: np.ndarray) -> None:
+        """Drop ``rows``' group memberships and link loads (in-place
+        scatter-decrements: exact integer arithmetic, and no
+        O(num_groups)/O(num_links) bincount allocation per instant)."""
         np.subtract.at(self._group_count, self._gids[rows], 1)
         paths = self._paths[rows]
         links = paths[paths >= 0]
         if links.size:
             np.subtract.at(self._load_counts, links, 1)
+
+    def _renumber(self, start: int) -> None:
+        """Point every flow from row ``start`` on at its current row
+        (group members are anonymous rows and need no update)."""
+        active = self._active
+        for row in range(start, len(active)):
+            owner = active[row]
+            if owner.__class__ is Flow:
+                owner._row = row
+
+    def _remove_rows(self, finished_mask: np.ndarray) -> List[object]:
+        """Retire the masked rows and return their owners in row order.
+
+        Coalesced mode tombstones in O(finished); the uncoalesced
+        reference compacts the ledger eagerly (O(active) per call).
+        """
+        rows = np.flatnonzero(finished_mask)
+        if self.coalesce:
+            return self._retire_rows(rows)
+        n = self._n
+        keep = ~finished_mask
+        active = self._active
+        finished = [active[row] for row in rows.tolist()]
+        self._release(rows)
+        k = n - rows.size
+        self._paths[:k] = self._paths[:n][keep]
+        self._remaining[:k] = self._remaining[:n][keep]
+        self._rates[:k] = self._rates[:n][keep]
+        self._sizes[:k] = self._sizes[:n][keep]
+        self._gids[:k] = self._gids[:n][keep]
+        self._active = [active[row] for row in np.flatnonzero(keep).tolist()]
+        self._renumber(int(rows[0]))
+        self._n = k
+        self._live_count = k
+        return finished
+
+    def _retire_rows(self, rows: np.ndarray) -> List[object]:
+        """Tombstone ``rows``: zero their rate, clear their live bit and
+        release their group/link bookkeeping.  The dead rows keep their
+        position (so live rows never move and no float is touched) until
+        :meth:`_compact` reclaims them."""
+        active = self._active
+        finished = []
+        for row in rows.tolist():
+            finished.append(active[row])
+            active[row] = None
+        self._release(rows)
         self._rates[rows] = 0.0
         self._live[rows] = False
         self._dead_count += rows.size
@@ -490,9 +645,8 @@ class FluidNetwork:
         self._sizes[:k] = self._sizes[:n][live]
         self._gids[:k] = self._gids[:n][live]
         self._live[:k] = True
-        self._active = [flow for flow in self._active if flow is not None]
-        for row, flow in enumerate(self._active):
-            flow._row = row
+        self._active = [owner for owner in self._active if owner is not None]
+        self._renumber(0)
         self._n = k
         self._dead_count = 0
 
@@ -880,17 +1034,28 @@ class FluidNetwork:
                     self._schedule_recompute()
                     return
         if finished_mask.any():
-            for flow in self._remove_rows(finished_mask):
-                self._finish(flow)
+            # Sizes are read before retirement may compact the ledger.
+            sizes = self._sizes[:n][finished_mask].tolist()
+            land = self._land
+            for owner, size in zip(self._remove_rows(finished_mask), sizes):
+                land(owner, size)
         self._schedule_recompute()
 
-    def _finish(self, flow: Flow) -> None:
-        flow._row = -1
-        flow._remaining = 0.0
-        flow._rate = 0.0
-        flow.completed_at = self.env.now
-        self.total_bytes_completed += flow.size
-        flow.succeed()
+    def _land(self, owner, size: float) -> None:
+        """A row's last byte landed: account it and fire its owner — the
+        flow's completion event, or the group's trigger once its last
+        member is in."""
+        self.total_bytes_completed += size
+        if owner.__class__ is Flow:
+            owner._row = -1
+            owner._remaining = 0.0
+            owner._rate = 0.0
+            owner.completed_at = self.env.now
+            owner.succeed()
+            return
+        owner._pending -= 1
+        if not owner._pending:
+            self.env.call_later(0.0, Event.succeed, owner)
 
     # -- introspection -------------------------------------------------------
 

@@ -346,9 +346,8 @@ class ConditionValue(Mapping):
     When an ``AllOf`` triggers, every constituent has fired successfully
     and an event's value never changes afterwards, so building the dict
     lazily gives exactly the dict an eager build would have.  Most waiters
-    never read it (fleet-scale All-to-All joins span tens of thousands of
-    flows), so the build is skipped unless someone does.  Compares equal
-    to the eager dict.
+    never read it, so the build is skipped unless someone does.  Compares
+    equal to the eager dict.
     """
 
     __slots__ = ("_events", "_dict")

@@ -92,6 +92,18 @@ class TestFaultPlanParse:
         with pytest.raises(ValueError):
             FaultPlan.parse(spec)
 
+    @pytest.mark.parametrize("kind", [
+        "a2a-intra", "a2a-inter", "a2a-flat", "ar-intra", "ar-inter", "ar-flat",
+    ])
+    def test_collective_flows_are_not_lossable(self, kind):
+        """Collectives start their flows as one group that never passes
+        the injector's loss intercept; that is exact only because no plan
+        can name a collective flow kind."""
+        with pytest.raises(ValueError, match="cannot inject loss"):
+            MessageLoss(kinds=(kind,), rate=0.5)
+        with pytest.raises(ValueError):
+            FaultPlan.parse(f"loss={kind}*0.5")
+
     def test_link_selector_matching(self):
         nic_any = LinkFault("nic", 0.5)
         assert nic_any.matches(LinkId("nic", 0, 0, "out"))

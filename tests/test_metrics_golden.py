@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import engine_for
 from repro.metrics import MetricsRegistry
+from repro.netsim import FluidNetwork
 from repro.trace import TraceRecorder
 
 from tests.conftest import small_cluster, small_config
@@ -125,7 +126,7 @@ class TestGoldenCountersExpertCentric:
         assert registry.counter(
             "machine.egress_bytes", machine=0
         ) == 2096128.0000000016
-        assert registry.gauge("sim.events_processed", iteration=0) == 428.0
+        assert registry.gauge("sim.events_processed", iteration=0) == 356.0
         assert registry.gauge("sim.processes_started", iteration=0) == 57.0
         # Synchronous All-to-All never draws a credit.
         for rank in range(4):
@@ -136,12 +137,52 @@ class TestGoldenCountersExpertCentric:
     def test_pipelined_ec_runs_more_processes(self):
         registry, _ = run_with_metrics("pipelined-ec")
         # 4 chunks per All-to-All -> far more kernel activity than plain EC.
-        assert registry.gauge("sim.events_processed", iteration=0) == 1156.0
+        assert registry.gauge("sim.events_processed", iteration=0) == 868.0
         assert registry.gauge("sim.processes_started", iteration=0) == 109.0
         for block in (1, 3):
             assert registry.counter(
                 "block.strategy", block=block, strategy="pipelined-ec"
             ) == 1.0
+
+
+class TestCollectiveEventBudget:
+    """Where the All-to-All event counts above come from.
+
+    A collective used to cost, per member flow, one latency record and
+    one completion event, plus one event for the ``AllOf`` join:
+    ``2 * flows + 1``.  As one flow group it costs one admission record
+    per start instant, the last member's trigger call and the group
+    event: ``cohorts + 2``.  The per-iteration drop against the per-flow
+    counts (428 for EC, 1156 for pipelined-ec) must be exactly the sum of
+    the differences — nothing else about the event stream may change.
+    """
+
+    @pytest.mark.parametrize(
+        "mode, per_flow_events", [
+            ("expert-centric", 428), ("pipelined-ec", 1156),
+        ]
+    )
+    def test_drop_is_the_per_flow_bookkeeping(
+        self, mode, per_flow_events, monkeypatch
+    ):
+        groups = []
+        transfer_group = FluidNetwork.transfer_group
+
+        def spy(network, path_indices, sizes, latencies):
+            latencies = np.asarray(latencies, dtype=float)
+            assert (latencies > 0).all()  # every member had a latency record
+            starts = np.unique(network.env.now + latencies)
+            groups.append((len(path_indices), starts.size))
+            return transfer_group(network, path_indices, sizes, latencies)
+
+        monkeypatch.setattr(FluidNetwork, "transfer_group", spy)
+        registry, _ = run_with_metrics(mode)
+        events = registry.gauge("sim.events_processed", iteration=0)
+        drop = sum(2 * flows - cohorts - 1 for flows, cohorts in groups)
+        assert per_flow_events - events == drop
+        if mode == "expert-centric":
+            assert groups == [(6, 2)] * 8
+            assert drop == 72
 
 
 class TestGoldenCountersUnified:

@@ -23,10 +23,12 @@ from repro.simkit import Environment
 
 @st.composite
 def schedules(draw):
-    """Random link tables plus arrival/rescale schedules.
+    """Random link tables plus arrival/group/rescale schedules.
 
     Paths are drawn from a small pool so several flows routinely share a
-    path group — the case coalescing actually batches.
+    path group — the case coalescing actually batches.  A group op starts
+    a :meth:`FluidNetwork.transfer_group` whose members (some zero-byte,
+    some sharing a start instant) are ledger rows without flow objects.
     """
     num_links = draw(st.integers(min_value=2, max_value=5))
     links = [
@@ -39,6 +41,17 @@ def schedules(draw):
         max_size=2,
         unique=True,
     )
+    members = st.lists(
+        st.tuples(
+            paths,
+            st.one_of(
+                st.just(0.0), st.floats(min_value=1.0, max_value=1000.0)
+            ),
+            st.sampled_from([0.0, 0.25, 1.0]),
+        ),
+        min_size=1,
+        max_size=6,
+    )
     ops = draw(
         st.lists(
             st.one_of(
@@ -47,6 +60,7 @@ def schedules(draw):
                     paths,
                     st.floats(min_value=1.0, max_value=1000.0),
                 ),
+                st.tuples(st.just("group"), members),
                 st.tuples(
                     st.just("rescale"),
                     st.integers(min_value=0, max_value=num_links - 1),
@@ -72,11 +86,13 @@ def _settle(env):
 
 
 def _run_schedule(schedule, coalesce):
-    """Replay one schedule; return (rate log, finish times, link bytes).
+    """Replay one schedule; return (rate log, flow finish times, group
+    finish times, link bytes, total bytes completed).
 
-    The rate log snapshots every active flow's rate after each operation
-    settles, keyed by arrival order, so a divergence is caught at the
-    instant it appears rather than washed out by completions.
+    The rate log snapshots every active flow's rate and every live ledger
+    row's rate (group members included, in row order) after each
+    operation settles, so a divergence is caught at the instant it
+    appears rather than washed out by completions.
     """
     links, ops, gaps = schedule
     env = Environment()
@@ -84,6 +100,7 @@ def _run_schedule(schedule, coalesce):
     for link_id, bandwidth in links:
         net.add_link(link_id, bandwidth)
     flows = []
+    groups = []
     rate_log = []
     for (op, *payload), gap in zip(ops, gaps):
         if gap > 0:
@@ -96,17 +113,41 @@ def _run_schedule(schedule, coalesce):
             flows.append(
                 net.transfer(tuple(f"l{i}" for i in indices), size)
             )
+        elif op == "group":
+            (members,) = payload
+            groups.append(_start_group(env, net, members))
         else:
             index, bandwidth = payload
             net.set_capacity(f"l{index}", bandwidth)
         _settle(env)
-        rate_log.append([flow.rate for flow in flows])
-    while net.active_flows:
+        rate_log.append((
+            [flow.rate for flow in flows],
+            net._rates[: net._n][net._live[: net._n]].tolist(),
+        ))
+    while net.live_rows or not all(done for done in groups):
         env.run(until=env.peek())
         _settle(env)
     finish_times = [flow.completed_at for flow in flows]
     link_bytes = {link_id: net.link_bytes[link_id] for link_id, _ in links}
-    return rate_log, finish_times, link_bytes
+    return (
+        rate_log, finish_times, groups, link_bytes, net.total_bytes_completed
+    )
+
+
+def _start_group(env, net, members):
+    """Start ``members`` as one group; the returned list receives the
+    group's completion time."""
+    finished = []
+    group = net.transfer_group(
+        [
+            net.resolve_path(tuple(f"l{i}" for i in indices))[1]
+            for indices, _, _ in members
+        ],
+        [size for _, size, _ in members],
+        [latency for _, _, latency in members],
+    )
+    group.callbacks.append(lambda _: finished.append(env.now))
+    return finished
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,7 +202,7 @@ class TestSetCapacityRescale:
         net.set_capacity("wire", 30.0)
         _settle(env)
         assert [flow.rate for flow in flows] == [10.0] * 3
-        while net.active_flows:
+        while net.live_rows:
             env.run(until=env.peek())
             _settle(env)
         # 300 bytes each: 100/3 moved in the first second, the rest at
@@ -177,7 +218,7 @@ class TestSetCapacityRescale:
             net.set_capacity("wire", 30.0)
             _settle(env)
             rates_after = [flow.rate for flow in flows]
-            while net.active_flows:
+            while net.live_rows:
                 env.run(until=env.peek())
                 _settle(env)
             outcomes.append(

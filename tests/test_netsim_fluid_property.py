@@ -108,7 +108,7 @@ def test_incremental_rates_match_fresh_recompute(schedule):
         assert got == expected  # exact float equality, not approx
 
     # Drain to completion: every flow must finish (no lost wakeups).
-    while net.active_flows:
+    while net.live_rows:
         env.run(until=env.peek())
         _settle(env)
     assert net._n == 0
