@@ -73,6 +73,7 @@ examples:
 	$(PYTHON) examples/paradigm_planner.py
 	$(PYTHON) examples/train_tiny_moe.py
 	$(PYTHON) examples/simulate_cluster_training.py
+	$(PYTHON) examples/pull_protocol.py
 
 clean:
 	rm -rf benchmarks/reports .pytest_cache

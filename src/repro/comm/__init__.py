@@ -1,19 +1,5 @@
-"""Pull-based communication substrate (paper §6): socket control plane +
-RDMA data plane."""
+"""The §6 pull primitive: socket request, then RDMA payload."""
 
-from .endpoint import ControlPlane, Endpoint
-from .messages import Ack, ControlMessage, GradPush, PullRequest, PullResponse
-from .pull import PullFailedError, PullServer, PullTransport
+from .pull import SOCKET_OVERHEAD_S, PullFailedError, pull, retry
 
-__all__ = [
-    "Ack",
-    "ControlMessage",
-    "ControlPlane",
-    "Endpoint",
-    "GradPush",
-    "PullFailedError",
-    "PullRequest",
-    "PullResponse",
-    "PullServer",
-    "PullTransport",
-]
+__all__ = ["SOCKET_OVERHEAD_S", "PullFailedError", "pull", "retry"]

@@ -11,13 +11,17 @@ home machine.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List
 
 from ..cluster import Device
+from ..comm import pull, retry
 from ..simkit import AnyOf
 from .context import IterationContext
 
 __all__ = ["InterNodeScheduler"]
+
+_INF = float("inf")
 
 
 class InterNodeScheduler:
@@ -96,117 +100,40 @@ class InterNodeScheduler:
         return sorted(experts, key=key)
 
     def _fetch_chain(self, nic: int, tasks: List[tuple]):
+        """Pull this NIC's share of external experts, one at a time, with
+        the §6 request→payload primitive.  Under a resilience policy a pull
+        that exhausts its retries or its block's deadline falls back to the
+        machine-cached stale copy instead of deadlocking the pipeline."""
         ctx = self.ctx
-        from ..comm.endpoint import SOCKET_OVERHEAD_S
-
-        if ctx.resilience is not None:
-            yield from self._resilient_fetch_chain(nic, tasks)
-            return
+        res = ctx.resilience
         for block, expert in tasks:
             yield self._fetch_gate(block)
             started = ctx.env.now
+            deadline = _INF
+            if res is not None:
+                began = ctx.block_fetch_began.setdefault(
+                    (self.machine, block), started
+                )
+                if res.block_deadline is not None:
+                    deadline = began + res.block_deadline
             owner = ctx.placements[block].owner(expert)
-            owner_machine = ctx.layout.machine_of(owner)
-            # Control plane (§6): the pull request travels to the expert's
-            # home machine over the socket first — latency only, the
-            # payload rides the RDMA data plane below.
-            request = ctx.fabric.transfer(
-                self.host,
-                Device.host(owner_machine),
-                0.0,
-                nic_index=nic,
-                tag=("pull-request", block, self.machine, expert),
-            )
-            yield request.done
-            yield ctx.env.timeout(SOCKET_OVERHEAD_S)
-            flow = ctx.fabric.transfer(
-                Device.host(owner_machine),
+            fetched = yield from pull(
+                ctx.fabric,
+                Device.host(ctx.layout.machine_of(owner)),
                 self.host,
                 ctx.workload.expert_bytes,
+                ("fetch-external", block, self.machine, expert),
+                request_tag=("pull-request", block, self.machine, expert),
                 nic_index=nic,
-                tag=("fetch-external", block, self.machine, expert),
+                resilience=res,
+                deadline=deadline,
+                on_retry=partial(self._count_retry, block, expert),
+                key=("fetch", block, expert),
             )
-            yield flow.done
-            ctx.cache_fills[self.machine] += 1
-            self._account_fetch(nic, block, expert, started)
-            cached = ctx.cached_event(block, self.machine, expert)
-            if not cached.triggered:
-                cached.succeed()
-
-    # -- resilient forward fetch (fault-injected runs) -------------------------------
-
-    def _resilient_fetch_chain(self, nic: int, tasks: List[tuple]):
-        """The fetch chain with per-pull timeout/retry/backoff and a
-        per-block deadline.  A pull that exhausts its budget (or blows the
-        block deadline) falls back to the machine-cached stale expert copy
-        for this iteration instead of deadlocking the pipeline."""
-        ctx = self.ctx
-        from ..comm import PullFailedError
-        from ..comm.endpoint import SOCKET_OVERHEAD_S
-
-        res = ctx.resilience
-        env = ctx.env
-        for block, expert in tasks:
-            yield self._fetch_gate(block)
-            started = env.now
-            began = ctx.block_fetch_began.setdefault(
-                (self.machine, block), env.now
-            )
-            deadline = (
-                began + res.block_deadline
-                if res.block_deadline is not None
-                else float("inf")
-            )
-            owner = ctx.placements[block].owner(expert)
-            owner_machine = ctx.layout.machine_of(owner)
-            delay = res.pull_timeout
-            fetched = False
-            attempts = res.max_retries + 1
-            for attempt in range(attempts):
-                budget = deadline - env.now
-                if budget <= 0:
-                    break
-                request = ctx.fabric.transfer(
-                    self.host,
-                    Device.host(owner_machine),
-                    0.0,
-                    nic_index=nic,
-                    tag=("pull-request", block, self.machine, expert),
-                )
-                yield AnyOf(env, [request.done, env.timeout(min(delay, budget))])
-                if not request.done.triggered:
-                    # Request lost (or server dark): back off and re-send.
-                    if attempt < res.max_retries:
-                        self._count_retry(block, expert)
-                        delay *= res.backoff
-                    continue
-                yield env.timeout(SOCKET_OVERHEAD_S)
-                flow = ctx.fabric.transfer(
-                    Device.host(owner_machine),
-                    self.host,
-                    ctx.workload.expert_bytes,
-                    nic_index=nic,
-                    tag=("fetch-external", block, self.machine, expert),
-                )
-                remaining = deadline - env.now
-                if remaining == float("inf"):
-                    yield flow.done
-                else:
-                    yield AnyOf(env, [flow.done, env.timeout(max(remaining, 0.0))])
-                # A degraded link may keep the payload in flight past the
-                # deadline; the bytes still move (wasted traffic) but the
-                # block stops waiting for them.
-                fetched = flow.done.triggered
-                break
             if fetched:
                 ctx.cache_fills[self.machine] += 1
                 self._account_fetch(nic, block, expert, started)
             else:
-                if res.on_failure == "raise":
-                    raise PullFailedError(
-                        self.host, Device.host(owner_machine),
-                        ("fetch", block, expert), attempts,
-                    )
                 self._stale_fallback(block, expert)
             cached = ctx.cached_event(block, self.machine, expert)
             if not cached.triggered:
@@ -297,21 +224,17 @@ class InterNodeScheduler:
         if res is None:
             yield push().done
             return
-        env = ctx.env
-        delay = res.push_timeout
-        for attempt in range(res.max_retries + 1):
-            flow = push()
-            yield AnyOf(env, [flow.done, env.timeout(delay)])
-            if flow.done.triggered:
-                return
-            if attempt < res.max_retries:
-                self._count_retry(block, expert)
-                delay *= res.backoff
+        pushed = yield from retry(
+            ctx.env, push, res.push_timeout, res,
+            on_retry=partial(self._count_retry, block, expert),
+        )
+        if pushed:
+            return
         # Gradient lost for this iteration (real systems skip or re-apply
         # next step); record it rather than stalling the barrier.
         if ctx.fault_stats is not None:
             ctx.fault_stats.grad_failures += 1
-        now = env.now
+        now = ctx.env.now
         ctx.trace.record(
             "fault.grad_lost", now, now, block=block,
             detail=f"machine={self.machine} expert={expert}",

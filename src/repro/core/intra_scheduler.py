@@ -19,10 +19,11 @@ makes the credit discipline deadlock-free.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List
 
 from ..cluster import Device
-from ..simkit import AnyOf
+from ..comm import pull
 from .context import IterationContext
 from .priority import internal_pull_order, pcie_peer_schedule
 
@@ -133,7 +134,12 @@ class IntraNodeScheduler:
         yield from self._staged_copies(phase, block, needed)
 
     def _direct_remote_pulls(self, phase: str, block: int, needed: List[int]):
-        """No cache manager: every worker pulls remote experts itself."""
+        """No cache manager: every worker pulls remote experts itself.
+
+        A forward pull that exhausts its retries marks the expert ready
+        from the worker's stale local copy.  The credit taken here stays
+        held either way and is released after compute, so the credit
+        discipline is unchanged under faults."""
         ctx = self.ctx
         placement = ctx.placements[block]
         for expert in needed:
@@ -141,17 +147,19 @@ class IntraNodeScheduler:
             started = ctx.env.now
             if phase == "fwd":
                 owner = placement.owner(expert)
-                if ctx.resilience is not None:
-                    yield from self._resilient_direct_pull(block, expert, owner)
-                    self._account_pull("direct", block, started)
-                    ctx.mark_ready(phase, block, self.rank, expert)
-                    continue
-                flow = ctx.fabric.transfer(
+                fetched = yield from pull(
+                    ctx.fabric,
                     ctx.gpu_of[owner],
                     ctx.gpu_of[self.rank],
                     ctx.workload.expert_bytes,
-                    tag=("pull-direct", block, self.rank, expert),
+                    ("pull-direct", block, self.rank, expert),
+                    resilience=ctx.resilience,
+                    on_retry=partial(self._count_retry, block, expert),
+                    key=("direct", block, expert),
                 )
+                if not fetched:
+                    self._stale_fallback(block, expert)
+                kind = "direct"
             else:
                 flow = ctx.fabric.transfer(
                     self.host,
@@ -159,51 +167,26 @@ class IntraNodeScheduler:
                     ctx.workload.expert_bytes,
                     tag=("pull-backward", block, self.rank, expert),
                 )
-            yield flow.done
-            self._account_pull(
-                "direct" if phase == "fwd" else "backward", block, started
-            )
+                yield flow.done
+                kind = "backward"
+            self._account_pull(kind, block, started)
             ctx.mark_ready(phase, block, self.rank, expert)
 
-    def _resilient_direct_pull(self, block: int, expert: int, owner: int):
-        """Direct pull with timeout/retry; on exhaustion mark the expert
-        ready from the worker's stale local copy.  The credit taken by the
-        caller stays held either way and is released after compute, so the
-        credit discipline is unchanged under faults."""
+    def _count_retry(self, block: int, expert: int) -> None:
         ctx = self.ctx
-        from ..comm import PullFailedError
+        if ctx.fault_stats is not None:
+            ctx.fault_stats.retries += 1
+        now = ctx.env.now
+        ctx.trace.record(
+            "fault.retry", now, now, worker=self.rank, block=block,
+            detail=f"expert={expert} direct",
+        )
 
-        res = ctx.resilience
-        env = ctx.env
-        delay = res.pull_timeout
-        attempts = res.max_retries + 1
-        for attempt in range(attempts):
-            flow = ctx.fabric.transfer(
-                ctx.gpu_of[owner],
-                ctx.gpu_of[self.rank],
-                ctx.workload.expert_bytes,
-                tag=("pull-direct", block, self.rank, expert),
-            )
-            yield AnyOf(env, [flow.done, env.timeout(delay)])
-            if flow.done.triggered:
-                return
-            if attempt < res.max_retries:
-                if ctx.fault_stats is not None:
-                    ctx.fault_stats.retries += 1
-                now = env.now
-                ctx.trace.record(
-                    "fault.retry", now, now, worker=self.rank, block=block,
-                    detail=f"expert={expert} direct",
-                )
-                delay *= res.backoff
-        if res.on_failure == "raise":
-            raise PullFailedError(
-                ctx.gpu_of[self.rank], ctx.gpu_of[owner],
-                ("direct", block, expert), attempts,
-            )
+    def _stale_fallback(self, block: int, expert: int) -> None:
+        ctx = self.ctx
         if ctx.fault_stats is not None:
             ctx.fault_stats.count_fallback(block)
-        now = env.now
+        now = ctx.env.now
         ctx.trace.record(
             "fault.fallback", now, now, worker=self.rank, block=block,
             detail=f"expert={expert} stale",

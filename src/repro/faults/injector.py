@@ -1,15 +1,18 @@
 """Applies a :class:`~repro.faults.spec.FaultPlan` to a live fabric.
 
-The injector hooks the two chokepoints every simulated byte and FLOP pass
+The injector hooks the chokepoints every simulated byte and FLOP pass
 through:
 
 * :meth:`intercept` is consulted by ``Fabric.transfer`` before a flow is
-  activated.  Droppable control messages (``pull-request``/``grad-push``/
-  ``pull-direct`` scheduler legs, and the comm layer's ``PullRequest``/
-  ``GradPush`` control flows) that fall to message loss or a server outage
-  return a *dead* flow — created but never activated, so its ``done`` event
-  never fires, exactly like a datagram lost on the wire.  Recovery is the
-  caller's timeout + retry.
+  activated.  Droppable control messages (the ``pull-request``,
+  ``grad-push`` and ``pull-direct`` flows of the §6 pull primitive) that
+  fall to message loss, or requests to a machine inside a ``drop``
+  outage, return a *dead* flow: created but never activated, so its
+  ``done`` event never fires, exactly like a datagram lost on the wire.
+  Recovery is the caller's timeout + retry.
+* :meth:`hold_until` is consulted by :func:`repro.comm.pull` when a
+  request lands: a machine inside a ``pause`` outage serves it only when
+  the window ends.
 * :meth:`compute_duration` is consulted by ``Fabric.compute`` to stretch
   kernels on machines inside a :class:`ComputeSlowdown` window (piecewise,
   so a kernel spanning a window boundary pays the slow rate only inside
@@ -43,9 +46,6 @@ from .spec import (
 
 __all__ = ["FaultInjector", "FaultStats"]
 
-# Control-message class name (comm layer) -> lossable kind.
-_CONTROL_KINDS = {"PullRequest": "pull-request", "GradPush": "grad-push"}
-
 
 @dataclass
 class FaultStats:
@@ -76,17 +76,17 @@ class FaultInjector:
         fabric,
         trace=None,
         stats: Optional[FaultStats] = None,
-        transport=None,
     ):
         self.plan = plan
         self.fabric = fabric
         self.trace = trace
         self.stats = stats if stats is not None else FaultStats()
-        self.transport = transport
         self.rng = np.random.default_rng(plan.seed)
         self._losses = plan.of_type(MessageLoss)
         self._slowdowns = plan.of_type(ComputeSlowdown)
         self._outages = plan.of_type(ServerOutage)
+        self._drops = [f for f in self._outages if f.mode == "drop"]
+        self._pauses = [f for f in self._outages if f.mode == "pause"]
         self._link_faults = plan.of_type(LinkFault)
         self.installed = False
 
@@ -103,13 +103,6 @@ class FaultInjector:
                 name=f"fault-link[{fault.selector}]",
                 daemon=True,
             )
-        if self.transport is not None:
-            for fault in self._outages:
-                env.process(
-                    self._outage_window(fault),
-                    name=f"fault-outage[{fault.machine}]",
-                    daemon=True,
-                )
         if self.trace is not None:
             # Planned windows land in the fault lane up front; point faults
             # (drops/retries/fallbacks) are recorded as they happen.
@@ -151,32 +144,6 @@ class FaultInjector:
         for link_id, bandwidth in original.items():
             network.set_capacity(link_id, bandwidth)
 
-    # -- server outage windows (comm-layer transport) --------------------------
-
-    def _outage_window(self, fault: ServerOutage):
-        env = self.fabric.env
-        if fault.start > 0:
-            yield env.timeout(fault.start)
-        servers = [
-            server
-            for device, server in self.transport.servers.items()
-            if device.machine == fault.machine
-        ]
-        for server in servers:
-            if fault.mode == "pause":
-                server.pause()
-            else:
-                server.set_dropping(True)
-            server.interrupt_inflight()
-        if not math.isfinite(fault.end):
-            return
-        yield env.timeout(fault.end - env.now)
-        for server in servers:
-            if fault.mode == "pause":
-                server.resume()
-            else:
-                server.set_dropping(False)
-
     # -- transfer interception -------------------------------------------------
 
     def intercept(self, src, dst, size, tag) -> Optional[Flow]:
@@ -185,12 +152,11 @@ class FaultInjector:
         if kind is None:
             return None
         now = self.fabric.env.now
-        # Engine-level server outage: requests addressed to the dark
-        # machine's host vanish deterministically (both outage modes look
-        # like drops from the requester's side at this level; queueing
-        # semantics live in the comm-layer PullServer).
+        # Server outage in drop mode: requests addressed to the dark
+        # machine's host vanish deterministically (pause mode holds them
+        # instead, see hold_until).
         if kind == "pull-request" and dst.kind == "host":
-            for fault in self._outages:
+            for fault in self._drops:
                 if fault.machine == dst.machine and fault.start <= now < fault.end:
                     return self._drop(size, tag, now, "outage")
         for fault in self._losses:
@@ -204,9 +170,20 @@ class FaultInjector:
         if not isinstance(tag, tuple) or not tag:
             return None
         head = tag[0]
-        if head == "control" and len(tag) > 1:
-            return _CONTROL_KINDS.get(tag[1])
         return head if isinstance(head, str) else None
+
+    def hold_until(self, machine: int, now: float) -> float:
+        """When a pull request landing on ``machine`` at ``now`` is served:
+        the end of the pause window(s) covering ``now``, else ``now``."""
+        release = now
+        held = True
+        while held:
+            held = False
+            for fault in self._pauses:
+                if fault.machine == machine and fault.start <= release < fault.end:
+                    release = fault.end
+                    held = True
+        return release
 
     def _drop(self, size, tag, now: float, cause: str) -> Flow:
         self.stats.dropped_messages += 1

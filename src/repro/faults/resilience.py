@@ -22,9 +22,10 @@ __all__ = ["DegradationPolicy", "ResilienceConfig"]
 class ResilienceConfig:
     """Timeout/retry/backoff budgets for faulted runs.
 
-    ``pull_timeout`` is the first attempt's wait for a pull-request
-    round-trip (control leg); each retry multiplies it by ``backoff`` up to
-    ``max_retries`` re-sends.  ``push_timeout`` guards gradient pushes (data
+    ``pull_timeout`` is the first attempt's wait for a pull request to be
+    served (its control leg plus any hold at a paused server; the whole
+    payload for a direct pull); each retry multiplies it by ``backoff`` up
+    to ``max_retries`` re-sends.  ``push_timeout`` guards gradient pushes (data
     flows, so it must dominate a healthy transfer time).  ``block_deadline``
     bounds the total time a machine spends fetching any one block's external
     experts before remaining fetches fall back to the stale cached copy;

@@ -11,9 +11,8 @@ the same timeline.  Supported fault kinds:
 * :class:`MessageLoss` — probabilistic loss of pull control messages
   (``pull-request``, ``grad-push``, ``pull-direct``) drawn from the plan's
   seeded RNG;
-* :class:`ServerOutage` — a machine's pull server stops serving: requests
-  to it are dropped (engine) or its :class:`~repro.comm.pull.PullServer`
-  pauses/drops (comm layer);
+* :class:`ServerOutage` — a machine's pull server goes dark: the pull
+  requests it receives are dropped, or held until the window ends;
 * :class:`ComputeSlowdown` — per-machine compute slowdown, the library
   generalization of the straggler ablation's static ``machine_speed``.
 
@@ -107,8 +106,9 @@ class MessageLoss:
 class ServerOutage:
     """Machine ``machine``'s pull serving goes dark during the window.
 
-    ``mode="drop"`` discards incoming requests; ``mode="pause"`` stops
-    draining (requests queue and are served after the window).
+    ``mode="drop"`` discards incoming pull requests; ``mode="pause"`` holds
+    them and serves them when the window ends (see
+    :meth:`~repro.faults.FaultInjector.hold_until`).
     """
 
     machine: int
@@ -175,7 +175,7 @@ class FaultPlan:
           the window (selector may scope a machine: ``nic.0``)
         * ``slow=0*0.5``                   — machine 0 computes at half speed
         * ``outage=1@0.002:0.004``         — machine 1 drops pull requests
-          (``outage=1:pause@...`` queues them instead)
+          (``outage=1:pause@...`` holds them to the window end)
         """
         seed = 0
         faults = []

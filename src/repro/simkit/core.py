@@ -40,8 +40,8 @@ class StalledSimulationError(SimulationError):
     """The event queue drained while processes were still blocked.
 
     A stall is almost always a lost wakeup: a process is waiting on an event
-    nobody will ever trigger (the canonical example is a
-    ``PullTransport.pull`` to a device that was never ``serve()``d).  The
+    nobody will ever trigger (the canonical example is a pull whose request
+    was lost, run without a resilience policy to retry it).  The
     exception names the blocked processes so the deadlock is diagnosable
     instead of silently returning control to the caller.
     """

@@ -238,8 +238,13 @@ class Tensor:
                             stack.append((parent, False))
 
             visit(self)
-            self._topo = topo
+            # The walk ends at this tensor; caching it in its own list
+            # would make a cycle that keeps the whole graph alive until
+            # the cyclic collector runs.
+            self._topo = topo[:-1]
         self._accumulate(np.asarray(grad, dtype=self.data.dtype))
+        if self._backward is not None:
+            self._backward(self.grad)
         for node in reversed(self._topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)

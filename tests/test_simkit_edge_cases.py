@@ -10,6 +10,7 @@ from repro.simkit import (
     PriorityResource,
     Resource,
     SimulationError,
+    StalledSimulationError,
     Store,
 )
 
@@ -230,3 +231,40 @@ class TestRunSemantics:
         env.process(parent())
         env.run()
         assert log == [2]
+
+
+class TestStallDiagnostics:
+    def test_waiting_on_never_triggered_event_raises_stalled_simulation(self):
+        """A process blocked on an event nobody will trigger is named in a
+        StalledSimulationError instead of env.run() silently returning."""
+        env = Environment()
+        never = env.event()
+
+        def waiter():
+            yield never
+
+        env.process(waiter(), name="stuck-waiter")
+        with pytest.raises(StalledSimulationError) as excinfo:
+            env.run()
+        assert "stuck-waiter" in str(excinfo.value)
+        assert any(
+            proc.name == "stuck-waiter" for proc in excinfo.value.processes
+        )
+
+    def test_run_until_unreachable_event_raises(self):
+        env = Environment()
+        with pytest.raises(StalledSimulationError):
+            env.run(until=env.event())
+
+    def test_daemon_waiters_do_not_trip_stall_detection(self):
+        """A daemon blocked forever (a listener loop) leaves plain
+        env.run() draining cleanly."""
+        env = Environment()
+        done = env.timeout(1.0)
+
+        def listener():
+            yield env.event()
+
+        env.process(listener(), name="listener", daemon=True)
+        env.run()
+        assert done.processed

@@ -1,5 +1,7 @@
 """Autograd correctness tests, including finite-difference gradient checks."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,25 @@ class TestForward:
 
 
 class TestBackward:
+    def test_backward_leaves_no_reference_cycle(self):
+        """A finished graph is freed by reference counting alone: the
+        cached topological order must not hold the tensor that owns it."""
+        gc.collect()
+        gc.disable()
+        try:
+            x = make((4, 4))
+            loss = ((x @ x) * 2.0).sum()
+            loss.backward()
+            del loss
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage == 0
+        ones = np.ones((4, 4))
+        np.testing.assert_allclose(
+            x.grad, 2.0 * (ones @ x.data.T + x.data.T @ ones)
+        )
+
     def test_add_grad(self):
         x = make((4,))
         y = make((4,))
