@@ -50,7 +50,7 @@ def time_engine(mode, config, cluster, features, runs: int,
     sample is seconds per :meth:`JanusEngine.run_iteration` (one fresh
     engine and :class:`Environment` per iteration), i.e. the simulation
     loop itself.  Returns the ``runs`` entry: the timing plus the last
-    iteration's simulated seconds and kernel events.
+    iteration's simulated seconds, kernel events and admitted flow rows.
 
     ``pause_gc`` pauses the cyclic garbage collector inside the timed
     region (and restores it after): generation-2 collections scan the
@@ -93,6 +93,7 @@ def time_engine(mode, config, cluster, features, runs: int,
         **timing,
         "sim_seconds": result.seconds,
         "events": result.sim_events,
+        "rows": result.sim_rows,
         "events_per_s": rate(result.sim_events, timing),
     }
 

@@ -1,4 +1,4 @@
-"""Online adaptive control plane (ROADMAP item 3).
+"""Online adaptive control plane (DESIGN.md §10).
 
 Between-iteration feedback loop over the timed engine: harvest one
 iteration's measured signals (:mod:`repro.control.signals`), decide

@@ -365,7 +365,7 @@ class IterationContext:
         event = self.ready_event(phase, block, rank, expert)
         if not event.triggered:
             event.succeed()
-        self.ready_store(phase, block, rank).put(expert)
+        self.ready_store(phase, block, rank).put_nowait(expert)
         if phase == "fwd":
             self.trace.mark(
                 "expert_ready",

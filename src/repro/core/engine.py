@@ -64,6 +64,9 @@ class IterationResult:
     # Kernel events processed while simulating this iteration (wall-clock
     # benchmarking divides these by seconds-of-host-time for events/sec).
     sim_events: int = 0
+    # Flow-ledger rows the fluid network admitted in this iteration (the
+    # weak-scaling gate charges host time per event plus row).
+    sim_rows: int = 0
 
     @property
     def paradigms(self) -> Dict[int, Paradigm]:
@@ -417,6 +420,7 @@ class JanusEngine:
             },
             iteration=trace.iteration,
             sim_events=env.events_processed,
+            sim_rows=fabric.network.rows_admitted,
         )
         if self.metrics is not None:
             collect_iteration_metrics(

@@ -62,9 +62,7 @@ class DataCentricStrategy(BlockStrategy):
         # Resident experts first — they need no communication at all.
         for expert in ctx.own_experts_with_tokens(index, rank):
             start = ctx.env.now
-            yield ctx.env.process(
-                ctx.fabric.compute(gpu, expert_seconds(expert))
-            )
+            yield ctx.fabric.compute(gpu, expert_seconds(expert))
             if record:
                 ctx.trace.record(
                     "compute.expert", start, ctx.env.now,
@@ -76,15 +74,13 @@ class DataCentricStrategy(BlockStrategy):
         for _ in range(len(needed)):
             expert = yield store.get()
             start = ctx.env.now
-            yield ctx.env.process(
-                ctx.fabric.compute(gpu, expert_seconds(expert))
-            )
+            yield ctx.fabric.compute(gpu, expert_seconds(expert))
             if record:
                 ctx.trace.record(
                     "compute.expert", start, ctx.env.now,
                     worker=rank, block=index, detail=f"{phase}:{expert}",
                 )
-            ctx.credits[rank].put(1)
+            ctx.credits[rank].put_nowait(1)
             if not backward:
                 # Offload the used expert to host memory for backward reuse
                 # (asynchronous; does not block the pipeline).

@@ -53,7 +53,7 @@ def compute_body(engine, ctx, rank: int, index: int, phase: str,
             * mult
         )
         start = ctx.env.now
-        yield ctx.env.process(ctx.fabric.compute(ctx.gpu_of[rank], seconds))
+        yield ctx.fabric.compute(ctx.gpu_of[rank], seconds)
         if rank == engine.trace_worker:
             ctx.trace.record(
                 "compute.expert", start, ctx.env.now,

@@ -133,7 +133,7 @@ def _dense_body(engine, ctx, rank, gpu, block, mult, scale, record, detail,
     def body():
         seconds = engine._jittered(mult * scale * base)
         start = ctx.env.now
-        yield ctx.env.process(ctx.fabric.compute(gpu, seconds))
+        yield ctx.fabric.compute(gpu, seconds)
         if record:
             ctx.trace.record(
                 "compute.dense", start, ctx.env.now,

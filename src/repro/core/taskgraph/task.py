@@ -42,10 +42,11 @@ class ResourceClaim:
     """One simulated resource a task occupies while its body runs.
 
     ``mode`` is ``"scoped"`` when the claim is acquired and released inside
-    the task body (the common case: ``fabric.compute`` / flow transfers are
-    context-managed).  A claim split across tasks uses an ``"acquire"`` on
-    one task and a matching ``"release"`` on a later task of the same lane;
-    the validator checks every acquire is released.
+    the task body (the common case: a ``fabric.compute`` kernel or a flow
+    holds its stream or links only until its completion event).  A claim
+    split across tasks uses an ``"acquire"`` on one task and a matching
+    ``"release"`` on a later task of the same lane; the validator checks
+    every acquire is released.
 
     Most claims are descriptive (the fabric arbitrates its own resources);
     a claim with a non-``None`` ``priority`` is *enforced* when the

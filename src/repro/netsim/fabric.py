@@ -7,7 +7,9 @@ A :class:`Fabric` owns:
 * one serial compute stream per GPU (kernels on a stream execute in order;
   DMA/copy engines are separate, which is what allows computation and
   communication to overlap — the fact Janus's fine-grained scheduling
-  exploits).
+  exploits).  A stream is a FIFO server with a busy-until clock: a kernel
+  is charged in closed form at submission and costs one completion event,
+  not a process.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 from ..cluster import Cluster, Device, LinkId
-from ..simkit import Environment, Resource
+from ..simkit import Environment, Event
 from .fluid import Flow, FluidNetwork
 
 __all__ = ["Fabric"]
@@ -32,9 +34,10 @@ class Fabric:
         for link_id, bandwidth, latency in cluster.iter_links():
             self.network.add_link(link_id, bandwidth)
             self._latency[link_id] = latency
-        self.compute_streams: Dict[Device, Resource] = {
-            gpu: Resource(env, capacity=1) for gpu in cluster.gpus()
-        }
+        # Per-GPU compute stream: the time its last submitted kernel ends.
+        self._stream_free_at: Dict[Device, float] = dict.fromkeys(
+            cluster.gpus(), float("-inf")
+        )
         # Set by FaultInjector.install(); None on the (default) happy path.
         self.fault_injector = None
         # Routes are a pure function of the immutable topology, and link
@@ -106,28 +109,32 @@ class Fabric:
             path, size, latency=latency, tag=tag, path_index=path_index
         )
 
-    def transfer_proc(self, src: Device, dst: Device, size: float, **kwargs):
-        """Process form of :meth:`transfer` (``yield env.process(...)``)."""
-        flow = self.transfer(src, dst, size, **kwargs)
-        yield flow.done
-        return flow
-
     # -- computation ----------------------------------------------------------
 
-    def compute(self, gpu: Device, seconds: float):
-        """Occupy ``gpu``'s compute stream for ``seconds`` (a process)."""
+    def compute(self, gpu: Device, seconds: float) -> Event:
+        """Run a ``seconds`` kernel on ``gpu``'s stream; yield the returned
+        event, which fires when the kernel ends.
+
+        Kernels on a stream run in submission order: this one starts at
+        ``max(now, end of the previous kernel)`` and ends ``seconds`` later
+        (stretched by any straggler window, evaluated at that start).  The
+        end is scheduled at its absolute time, so a queued kernel ends at
+        exactly the timestamp it would have if timed from its grant.
+        """
         if gpu.kind != "gpu":
             raise ValueError(f"compute target must be a GPU, got {gpu}")
         if seconds < 0:
             raise ValueError("compute time must be non-negative")
-        stream = self.compute_streams[gpu]
-        with stream.request() as slot:
-            yield slot
-            if self.fault_injector is not None:
-                seconds = self.fault_injector.compute_duration(
-                    gpu.machine, seconds, self.env.now
-                )
-            yield self.env.timeout(seconds)
+        env = self.env
+        start = self._stream_free_at[gpu]
+        if start < env.now:
+            start = env.now
+        if self.fault_injector is not None:
+            seconds = self.fault_injector.compute_duration(
+                gpu.machine, seconds, start
+            )
+        end = self._stream_free_at[gpu] = start + seconds
+        return env.timeout_at(end)
 
     def flops_time(self, flops: float) -> float:
         """Seconds a GPU needs for ``flops`` floating point operations."""

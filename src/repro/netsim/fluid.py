@@ -273,6 +273,10 @@ class FluidNetwork:
         self._generation = 0
         self._recompute_pending = False
         self.total_bytes_completed = 0.0
+        # Ledger rows ever appended (point-to-point flows and group
+        # members that moved bytes): the per-row share of host work the
+        # weak-scaling gate charges beside kernel events.
+        self.rows_admitted = 0
 
     # -- topology -----------------------------------------------------------
 
@@ -525,6 +529,7 @@ class FluidNetwork:
             self._load_counts[index] += 1
         self._live[row] = True
         self._live_count += 1
+        self.rows_admitted += 1
         self._n = row + 1
         self._active.append(flow)
         flow._row = row
@@ -549,6 +554,7 @@ class FluidNetwork:
         np.add.at(self._load_counts, paths[paths >= 0], 1)
         self._live[row:end] = True
         self._live_count += end - row
+        self.rows_admitted += end - row
         self._n = end
         self._active.extend(itertools.repeat(owner, end - row))
 

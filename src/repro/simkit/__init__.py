@@ -17,7 +17,6 @@ from .resources import (
     Container,
     PriorityRequest,
     PriorityResource,
-    Release,
     Request,
     Resource,
     Store,
@@ -35,7 +34,6 @@ __all__ = [
     "PriorityRequest",
     "PriorityResource",
     "Process",
-    "Release",
     "Request",
     "Resource",
     "SimulationError",

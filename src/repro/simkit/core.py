@@ -491,6 +491,29 @@ class Environment:
             raise SimulationError(f"negative timeout delay: {delay}")
         self._schedule(_Call(callback, value), delay=delay)
 
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """An event that fires at the absolute simulated time ``when``.
+
+        The event is keyed at ``when`` itself, not at ``now + (when -
+        now)``, which can differ from ``when`` in the last place: a
+        server that computes a busy-until end ahead of time gets exactly
+        the timestamp a :class:`Timeout` started at the grant would have.
+        At ``when == now`` it joins the current instant like a zero-delay
+        timeout.
+        """
+        if when < self._now:
+            raise SimulationError(
+                f"timeout_at({when}) is in the past (now={self._now})"
+            )
+        event = Event(self)
+        event._value = value
+        self._eid = event._eid = self._eid + 1
+        if when == self._now:
+            self._immediate.append(event)
+        else:
+            self._enqueue((when, 1), event)
+        return event
+
     def process(
         self,
         generator: Generator,
@@ -519,12 +542,15 @@ class Environment:
         if delay == 0.0 and priority == 1:
             self._immediate.append(event)
         else:
-            key = (self._now + delay, priority)
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                self._buckets[key] = bucket = deque()
-                heapq.heappush(self._queue, key)
-            bucket.append(event)
+            self._enqueue((self._now + delay, priority), event)
+
+    def _enqueue(self, key: tuple, event: Any) -> None:
+        """Append ``event`` (its eid already assigned) to ``key``'s bucket."""
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = bucket = deque()
+            heapq.heappush(self._queue, key)
+        bucket.append(event)
 
     def defer_to_instant_end(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` once the current instant's cohort has drained.

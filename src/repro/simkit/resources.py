@@ -19,7 +19,6 @@ from .core import Environment, Event, SimulationError
 
 __all__ = [
     "Request",
-    "Release",
     "Resource",
     "PriorityRequest",
     "PriorityResource",
@@ -49,17 +48,6 @@ class Request(Event):
         """Withdraw a request that has not been granted yet."""
         if self in self.resource._queue:
             self.resource._queue.remove(self)
-
-
-class Release(Event):
-    """Event form of a release; triggers immediately."""
-
-    __slots__ = ()
-
-    def __init__(self, resource: "Resource", request: Request):
-        super().__init__(resource.env)
-        resource.release(request)
-        self.succeed()
 
 
 class Resource:
@@ -168,6 +156,16 @@ class Store:
     def put(self, item: Any) -> StorePut:
         return StorePut(self, item)
 
+    def put_nowait(self, item: Any) -> None:
+        """Deposit ``item`` without an event (for producers that never
+        wait on the put): the oldest queued getter, if any, is served at
+        once, exactly as an un-yielded :meth:`put` would serve it."""
+        if self._put_queue or len(self.items) >= self.capacity:
+            raise SimulationError("put_nowait on a full store")
+        self.items.append(item)
+        if self._get_queue:
+            self._trigger()
+
     def get(self) -> StoreGet:
         return StoreGet(self)
 
@@ -237,7 +235,36 @@ class Container:
     def put(self, amount: float) -> ContainerPut:
         return ContainerPut(self, amount)
 
-    def get(self, amount: float) -> ContainerGet:
+    def put_nowait(self, amount: float) -> None:
+        """Raise the level by ``amount`` without an event (for producers
+        that never wait on the put); queued getters the new level covers
+        are served in FIFO order, as an un-yielded :meth:`put` would."""
+        if amount <= 0:
+            raise SimulationError("put amount must be positive")
+        if self._put_queue or self._level + amount > self.capacity:
+            raise SimulationError("put_nowait would overflow the container")
+        self._level += amount
+        if self._get_queue:
+            self._trigger()
+
+    def get(self, amount: float) -> Event:
+        """Take ``amount``; yield the returned event to wait for it.
+
+        With the level sufficient and no getter queued ahead, the amount
+        is taken now and the returned event is already processed, so the
+        yielding process resumes without an event.  Otherwise the get
+        queues (FIFO) until a put covers it.
+        """
+        if not self._get_queue and 0 < amount <= self._level:
+            self._level -= amount
+            if self._level < self.min_level:
+                self.min_level = self._level
+            if self._put_queue:
+                self._trigger()
+            granted = Event(self.env)
+            granted._value = amount
+            granted.callbacks = None
+            return granted
         return ContainerGet(self, amount)
 
     def _trigger(self) -> None:

@@ -22,7 +22,7 @@ from repro.bench import (
     write_snapshot,
 )
 from repro.bench.harness import CALIBRATION_SCALE_BOUNDS
-from repro.bench.scale import MAX_PER_EVENT_GROWTH, TOP_ITERATION_BUDGET_S
+from repro.bench.scale import MAX_PER_UNIT_GROWTH, TOP_ITERATION_BUDGET_S
 from repro.cli import build_parser
 
 NAMES = sorted(SUITES)
@@ -55,7 +55,7 @@ class TestRegistry:
 
     def test_gate_bounds_are_unchanged(self):
         assert CALIBRATION_SCALE_BOUNDS == (0.2, 5.0)
-        assert MAX_PER_EVENT_GROWTH == 1.3
+        assert MAX_PER_UNIT_GROWTH == 1.3
         assert TOP_ITERATION_BUDGET_S == 10.0
         for fn in (Suite.check, check_snapshot):
             default = inspect.signature(fn).parameters["tolerance"].default
@@ -184,10 +184,10 @@ def _change_a_digest(capture):
     capture["runs"]["skewed/unified"]["digest"] = "0" * 64
 
 
-def _grow_per_event_cost(capture):
+def _grow_per_unit_cost(capture):
     points = sorted(capture["runs"].values(), key=lambda e: e["machines"])
-    points[-1]["per_event_us"] = (
-        points[0]["per_event_us"] * MAX_PER_EVENT_GROWTH * 1.01
+    points[-1]["per_unit_us"] = (
+        points[0]["per_unit_us"] * MAX_PER_UNIT_GROWTH * 1.01
     )
 
 
@@ -208,7 +208,7 @@ STRUCTURAL_GATES = [
     ("serving", _drop_a_request, "not every offered request completed"),
     ("serving", _lose_disaggregation, "tpot_p99_ms"),
     ("serving", _change_a_digest, "bit-reproducible"),
-    ("scale", _grow_per_event_cost, "per-event cost grows"),
+    ("scale", _grow_per_unit_cost, "per-(event+row) cost grows"),
     ("scale", _blow_the_top_budget, "budget"),
     ("runtime", _switch_dtype, "dtype mismatch"),
 ]

@@ -11,12 +11,15 @@ trace recorder) never changes simulated times — bit-identical, not
 approximately equal.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.core import engine_for
 from repro.metrics import MetricsRegistry
-from repro.netsim import FluidNetwork
+from repro.netsim import Fabric, FluidNetwork
+from repro.simkit import Container, Store
 from repro.trace import TraceRecorder
 
 from tests.conftest import small_cluster, small_config
@@ -95,8 +98,8 @@ class TestGoldenCountersDataCentric:
 
     def test_kernel_and_credit_gauges(self):
         registry, _ = run_with_metrics("data-centric")
-        assert registry.gauge("sim.events_processed", iteration=0) == 1120.0
-        assert registry.gauge("sim.processes_started", iteration=0) == 135.0
+        assert registry.gauge("sim.events_processed", iteration=0) == 688.0
+        assert registry.gauge("sim.processes_started", iteration=0) == 39.0
         for rank in range(4):
             assert registry.gauge(
                 "credit.max_occupancy", rank=rank, iteration=0
@@ -126,8 +129,8 @@ class TestGoldenCountersExpertCentric:
         assert registry.counter(
             "machine.egress_bytes", machine=0
         ) == 2096128.0000000016
-        assert registry.gauge("sim.events_processed", iteration=0) == 356.0
-        assert registry.gauge("sim.processes_started", iteration=0) == 57.0
+        assert registry.gauge("sim.events_processed", iteration=0) == 212.0
+        assert registry.gauge("sim.processes_started", iteration=0) == 9.0
         # Synchronous All-to-All never draws a credit.
         for rank in range(4):
             assert registry.gauge(
@@ -137,12 +140,90 @@ class TestGoldenCountersExpertCentric:
     def test_pipelined_ec_runs_more_processes(self):
         registry, _ = run_with_metrics("pipelined-ec")
         # 4 chunks per All-to-All -> far more kernel activity than plain EC.
-        assert registry.gauge("sim.events_processed", iteration=0) == 868.0
-        assert registry.gauge("sim.processes_started", iteration=0) == 109.0
+        assert registry.gauge("sim.events_processed", iteration=0) == 580.0
+        assert registry.gauge("sim.processes_started", iteration=0) == 13.0
         for block in (1, 3):
             assert registry.counter(
                 "block.strategy", block=block, strategy="pipelined-ec"
             ) == 1.0
+
+
+def spy_kernel_bookkeeping(monkeypatch) -> Counter:
+    """Count what the busy-until compute stream and the event-free
+    hand-offs save: kernels submitted, puts deposited without an event,
+    and credit gets granted on the spot (returned already processed)."""
+    counts = Counter()
+    compute = Fabric.compute
+    store_put = Store.put_nowait
+    container_put = Container.put_nowait
+    container_get = Container.get
+
+    def spy_compute(fabric, gpu, seconds):
+        counts["kernels"] += 1
+        return compute(fabric, gpu, seconds)
+
+    def spy_store_put(store, item):
+        counts["deposits"] += 1
+        return store_put(store, item)
+
+    def spy_container_put(container, amount):
+        counts["deposits"] += 1
+        return container_put(container, amount)
+
+    def spy_container_get(container, amount):
+        event = container_get(container, amount)
+        if event.processed:
+            counts["instant_grants"] += 1
+        return event
+
+    monkeypatch.setattr(Fabric, "compute", spy_compute)
+    monkeypatch.setattr(Store, "put_nowait", spy_store_put)
+    monkeypatch.setattr(Container, "put_nowait", spy_container_put)
+    monkeypatch.setattr(Container, "get", spy_container_get)
+    return counts
+
+
+def kernel_event_drop(counts: Counter) -> int:
+    """Events saved: a kernel was a process (start, stream grant, timeout,
+    exit) and is now one completion event; a deposit or an instant grant
+    was one event and is now none."""
+    return (
+        3 * counts["kernels"] + counts["deposits"] + counts["instant_grants"]
+    )
+
+
+class TestComputeEventBudget:
+    """Where the kernel counters above come from.
+
+    Against the counts of the process-per-kernel simulator (events,
+    processes), the drop must be exactly :func:`kernel_event_drop` events
+    and one process per kernel — nothing else about the event stream may
+    change.  ``tests/test_compute_stream.py`` reproduces the old counts
+    and times exactly with a process-based reference stream.
+    """
+
+    @pytest.mark.parametrize(
+        "mode, process_kernel_counts, saved", [
+            # 48 pulls: one ready deposit and one credit return each, and
+            # every credit get found a free unit.
+            ("data-centric", (1120, 135), (96, 96, 48)),
+            ("expert-centric", (356, 57), (48, 0, 0)),
+            ("pipelined-ec", (868, 109), (96, 0, 0)),
+        ]
+    )
+    def test_drop_is_the_kernel_and_hand_off_bookkeeping(
+        self, mode, process_kernel_counts, saved, monkeypatch
+    ):
+        counts = spy_kernel_bookkeeping(monkeypatch)
+        registry, _ = run_with_metrics(mode)
+        events = registry.gauge("sim.events_processed", iteration=0)
+        processes = registry.gauge("sim.processes_started", iteration=0)
+        old_events, old_processes = process_kernel_counts
+        assert old_events - events == kernel_event_drop(counts)
+        assert old_processes - processes == counts["kernels"]
+        assert (
+            counts["kernels"], counts["deposits"], counts["instant_grants"]
+        ) == saved
 
 
 class TestCollectiveEventBudget:
@@ -153,8 +234,10 @@ class TestCollectiveEventBudget:
     ``2 * flows + 1``.  As one flow group it costs one admission record
     per start instant, the last member's trigger call and the group
     event: ``cohorts + 2``.  The per-iteration drop against the per-flow
-    counts (428 for EC, 1156 for pipelined-ec) must be exactly the sum of
-    the differences — nothing else about the event stream may change.
+    counts (428 for EC, 1156 for pipelined-ec, both with process-per-
+    kernel compute) must be exactly the sum of the differences plus the
+    kernel bookkeeping of :class:`TestComputeEventBudget` — nothing else
+    about the event stream may change.
     """
 
     @pytest.mark.parametrize(
@@ -176,10 +259,11 @@ class TestCollectiveEventBudget:
             return transfer_group(network, path_indices, sizes, latencies)
 
         monkeypatch.setattr(FluidNetwork, "transfer_group", spy)
+        counts = spy_kernel_bookkeeping(monkeypatch)
         registry, _ = run_with_metrics(mode)
         events = registry.gauge("sim.events_processed", iteration=0)
         drop = sum(2 * flows - cohorts - 1 for flows, cohorts in groups)
-        assert per_flow_events - events == drop
+        assert per_flow_events - events == drop + kernel_event_drop(counts)
         if mode == "expert-centric":
             assert groups == [(6, 2)] * 8
             assert drop == 72

@@ -52,7 +52,7 @@ class TestFabric:
         ends = []
 
         def kernel(duration):
-            yield env.process(fabric.compute(gpu, duration))
+            yield fabric.compute(gpu, duration)
             ends.append(env.now)
 
         env.process(kernel(2.0))
@@ -63,7 +63,7 @@ class TestFabric:
     def test_compute_on_host_rejected(self):
         env, cluster, fabric = make_fabric(1)
         with pytest.raises(ValueError):
-            list(fabric.compute(Device.host(0), 1.0))
+            fabric.compute(Device.host(0), 1.0)
 
     def test_flops_time(self):
         env, cluster, fabric = make_fabric(1)
