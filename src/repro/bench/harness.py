@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import heapq
+import inspect
 import json
 import os
 import statistics
@@ -25,6 +26,9 @@ SNAPSHOT_DIR = Path(__file__).resolve().parents[3] / "benchmarks"
 # Calibration scaling is clamped so a wildly mis-measured calibration can
 # not silently absorb a real regression (or invent one).
 CALIBRATION_SCALE_BOUNDS = (0.2, 5.0)
+
+# The host keys that name the fluid solver backend (see solver_backend).
+_BACKEND = ("waterfill", "coalesce")
 
 # A gate sees the fresh capture and the committed snapshot and returns
 # its violations (empty = pass).
@@ -81,7 +85,10 @@ class Suite:
 
         ``configs`` overrides the full/quick selection; ``runs`` overrides
         the default sample count; ``jobs`` (``"parallel"`` suites only,
-        default: every available cpu) caps the worker processes.
+        default: every available cpu) caps the worker processes.  Each
+        config's entry carries its own ``calibration_s``, sampled beside
+        its timed runs (see :func:`sample`); the capture-level one, taken
+        after the sweep, only serves snapshots that predate it.
         """
         if configs is None:
             configs = self.quick if quick else self.full
@@ -100,7 +107,11 @@ class Suite:
             configs, jobs,
         )
         wall_s = time.perf_counter() - start
-        host = {"python": sys.version.split()[0], "numpy": np.__version__}
+        host = {
+            "python": sys.version.split()[0],
+            "numpy": np.__version__,
+            **solver_backend(),
+        }
         if self.wall:
             host["cpus"] = cpu_count()
         current = {
@@ -196,19 +207,27 @@ def sample(runs: int, body: Callable, setup: Callable = lambda: None,
     """Time ``runs`` calls of ``body(setup())``; only ``body`` is timed.
 
     Returns ``(timing, last result)`` where ``timing`` holds the median,
-    best and raw samples, each divided by ``per`` (work units per call).
+    best and raw samples, each divided by ``per`` (work units per call),
+    and ``calibration_s``: the median of one :func:`calibrate` before the
+    first call and one after each, i.e. the host's speed while these
+    calls ran.  A shared host's speed swings within seconds, so a
+    calibration taken once for the whole sweep cannot rescale every
+    config fairly.
     """
     samples: List[float] = []
+    speeds = [calibrate()]
     result = None
     for _ in range(runs):
         state = setup()
         start = time.perf_counter()
         result = body(state)
         samples.append((time.perf_counter() - start) / per)
+        speeds.append(calibrate())
     timing = {
         "median_s": statistics.median(samples),
         "best_s": min(samples),
         "samples": [round(value, 6) for value in samples],
+        "calibration_s": statistics.median(speeds),
     }
     return timing, result
 
@@ -278,9 +297,41 @@ def calibrate(repeat: int = 3) -> float:
     return best
 
 
+def solver_backend() -> Dict:
+    """The fluid solver a capture ran on: the compiled kernels or the
+    numpy fallback (``waterfill``), and the ledger's default row
+    coalescing (``coalesce``).  The two backends are bit-identical in
+    simulated time but far apart in host time."""
+    from ..netsim import FluidNetwork, _waterfill
+
+    default = inspect.signature(FluidNetwork).parameters["coalesce"].default
+    return {
+        "waterfill": "python" if _waterfill.kernel() is None else "compiled",
+        "coalesce": default,
+    }
+
+
+def _backend_mismatch(current: Dict, snapshot: Dict) -> List[str]:
+    """One problem line when the captures ran different solver backends
+    (empty when they agree or either predates the record)."""
+    mine = {key: current.get("host", {}).get(key) for key in _BACKEND}
+    theirs = {key: snapshot.get("host", {}).get(key) for key in _BACKEND}
+    if None in mine.values() or None in theirs.values() or mine == theirs:
+        return []
+
+    def text(backend):
+        return ", ".join(f"{key}={backend[key]}" for key in _BACKEND)
+
+    return [
+        f"solver backend {text(mine)} differs from the snapshot's "
+        f"({text(theirs)}): wall medians not compared"
+    ]
+
+
 def calibration_scale(current: Dict, snapshot: Dict) -> float:
     """Current host speed over snapshot host speed, clamped (1.0 when
-    either capture lacks a calibration)."""
+    either side lacks a calibration).  Works on two captures or on two
+    config entries (each entry carries its own ``calibration_s``)."""
     snap_cal = snapshot.get("calibration_s")
     cur_cal = current.get("calibration_s")
     if not (snap_cal and cur_cal):
@@ -289,25 +340,40 @@ def calibration_scale(current: Dict, snapshot: Dict) -> float:
     return min(max(cur_cal / snap_cal, low), high)
 
 
+def config_scale(current: Dict, snapshot: Dict, key: str) -> float:
+    """Calibration scale for config ``key``: the ratio of the two
+    calibrations sampled beside its runs, or the capture-level one when
+    either capture predates per-config calibration."""
+    entry = current["runs"][key]
+    committed = snapshot.get("runs", {}).get(key, {})
+    if entry.get("calibration_s") and committed.get("calibration_s"):
+        return calibration_scale(entry, committed)
+    return calibration_scale(current, snapshot)
+
+
 def check_snapshot(
     current: Dict, snapshot: Dict, tolerance: float = 0.25
 ) -> List[str]:
     """Wall gate: fresh medians vs the committed snapshot.
 
-    The committed medians are rescaled by :func:`calibration_scale` so the
-    gate compares simulator efficiency rather than raw machine speed.
-    Configs the current capture did not run (``--quick``) are skipped;
-    configs the snapshot lacks are reported.
+    Each committed median is rescaled by its config's
+    :func:`config_scale` so the gate compares simulator efficiency rather
+    than raw machine speed.  Configs the current capture did not run
+    (``--quick``) are skipped; configs the snapshot lacks are reported.
+    Captures on different solver backends are not compared at all.
     """
+    mismatch = _backend_mismatch(current, snapshot)
+    if mismatch:
+        return mismatch
     problems = []
     snap_runs = snapshot.get("runs", {})
-    scale = calibration_scale(current, snapshot)
     band = 1.0 + tolerance
     for key, entry in sorted(current.get("runs", {}).items()):
         if key not in snap_runs:
             problems.append(f"{key}: not in committed snapshot (run --write)")
             continue
         committed = snap_runs[key]["median_s"]
+        scale = config_scale(current, snapshot, key)
         if entry["median_s"] > committed * scale * band:
             problems.append(
                 f"{key}: median {entry['median_s'] * 1e3:.1f} ms vs allowed "

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Tuple
 
-from .harness import SNAPSHOT_DIR, Suite, calibration_scale, column, ratio
+from .harness import SNAPSHOT_DIR, Suite, column, config_scale, ratio
 from .speed import time_engine
 
 # Structural gate: wall cost per (event + admitted row) from the smallest
@@ -185,11 +185,12 @@ def check_scale_structure(current: Dict, snapshot: Dict) -> List[str]:
 def check_top_budget(current: Dict, snapshot: Dict) -> List[str]:
     """The largest fleet's iteration must fit the calibration-rescaled
     ``TOP_ITERATION_BUDGET_S``."""
-    points = _ordered_points(current)
-    if not points:
+    runs = current.get("runs", {})
+    if not runs:
         return []
-    top = points[-1]
-    scale = calibration_scale(current, snapshot)
+    key = max(runs, key=lambda name: runs[name]["machines"])
+    top = runs[key]
+    scale = config_scale(current, snapshot, key)
     budget = TOP_ITERATION_BUDGET_S * scale
     if top["median_s"] <= budget:
         return []

@@ -1,17 +1,25 @@
-"""Compiled water-filling kernel (optional, bit-identical).
+"""Compiled fluid-ledger kernels (optional, bit-identical).
 
 The progressive-filling loop in :mod:`repro.netsim.fluid` is inherently
 sequential — each round fixes one bottleneck link and updates the
 residual capacity and load of the links its flows cross — so it cannot
 be vectorized across rounds.  At fleet scale (128 machines) a solve runs
 hundreds of rounds and the per-round numpy-call overhead dominates the
-whole simulation.  This module compiles the identical loop to native
-code at first use (plain ``cc -O2 -ffp-contract=off``, no third-party
-build system) and binds it through :mod:`ctypes`.
+whole simulation.  At small scale the opposite holds: a solve is a few
+dozen rounds, and the numpy calls around it (set-up copies, the byte
+advance, the rate scatter, the next-completion scan, the finish scan)
+cost several times the loop itself.  This module compiles the loop *and*
+that per-instant arithmetic to native code at first use (plain
+``cc -O2 -ffp-contract=off``, no third-party build system) and binds it
+through :mod:`ctypes`.  A :class:`Ledger` holds one C struct of array
+addresses per network, bound whenever an array is reallocated, so a
+recompute is a few foreign calls of two to four scalars each.
 
-Bit-identity with the pure-python loop is a hard requirement (the golden
+Bit-identity with the numpy path is a hard requirement (the golden
 tests and ``baseline --tolerance 0`` pin simulated times exactly), so
-the C code reproduces the float semantics operation for operation:
+the C code reproduces the float semantics operation for operation.
+
+The fill:
 
 * shares are ``residual / load`` where ``load > 0`` else ``+inf`` — the
   same single IEEE-754 division numpy performs;
@@ -29,20 +37,42 @@ the C code reproduces the float semantics operation for operation:
   FMA, which would round differently;
 * links untouched by a round keep their residual/load words bitwise
   unchanged, so recomputing their share next round is the same division
-  of the same operands — the heap can therefore skip them entirely.
+  of the same operands — the heap can therefore skip them entirely;
+* the set-up copies ``capacity`` and converts the int64 link loads and
+  group counts to double, as ``np.copyto(..., casting="unsafe")`` does:
+  one correctly rounded conversion per element (exact below 2**53), in
+  any order, so moving it into C changes no bit.
+
+The per-instant ledger passes:
+
+* ``advance`` computes ``moved = rate * dt`` once per row, clamps
+  ``remaining - moved`` like ``np.maximum(x, 0.0)`` (a NaN propagates,
+  ``-0.0`` becomes ``+0.0``), gates everything on "some row moved a
+  positive amount", and adds each positive ``moved`` to the row's links
+  in (row, link-in-path) order — the order ``np.add.at`` applies them,
+  which matters because float addition is not associative;
+* ``assign`` scatters group rates to live rows and returns the minimum
+  of ``remaining / rate`` over moving rows; the minimum of exact values
+  is order-free (bar the sign of a zero, which the timer's
+  ``now + max(eta, 0.0)`` erases), and a NaN quotient wins, as in
+  numpy's ``min``;
+* ``finish_scan`` evaluates ``remaining <= eps * size + eps`` with the
+  same two rounded operations; ``release`` is integer bookkeeping.
 
 If no C compiler is available (or ``REPRO_WATERFILL=python`` is set)
-the callers fall back to the pure-python loops; nothing else changes.
+the network stays on the numpy path; nothing else changes.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
+import math
 import os
 import subprocess
 from pathlib import Path
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -98,24 +128,162 @@ static double key_of(double share) {
     return isnan(share) ? -INFINITY : share;
 }
 
-int64_t waterfill(
-    int64_t nl, int64_t ng,
-    double *residual,            /* [nl] capacities, clobbered */
-    double *load,                /* [nl] crossing-flow counts, clobbered */
-    const int64_t *gpaths,       /* [ng*2] link ids per group, -1 = none */
-    const double *gcountf,       /* [ng] flow multiplicity per group */
-    const int64_t *sorted_groups,/* CSR payload: groups sorted by link */
-    const int64_t *starts,       /* [nl+1] CSR row starts */
-    double *grates,              /* [ng] out, pre-zeroed */
-    int64_t unfixed_flows,
-    /* caller-provided scratch */
-    double *keys,                /* [nl] */
-    unsigned char *fixed_link,   /* [nl] zeroed */
-    unsigned char *gunfixed,     /* [ng] set to 1 */
-    double *counts,              /* [nl] zeroed */
-    int64_t *touched,            /* [2*ng + 2] */
-    entry *heap                  /* [nl + 2*ng + 4] */
-) {
+/* Every array the kernels touch, bound by address once per
+   (re)allocation; the field order is _SLOTS in the Python module.  The
+   first block is the network's, the second the fill's scratch. */
+typedef struct {
+    const double *capacity;      /* [links] */
+    int64_t *load_counts;        /* [links] crossing rows per link */
+    double *link_bytes;          /* [links] bytes moved per link */
+    const int64_t *gpaths;       /* [groups*2] link ids, -1 = none */
+    int64_t *gcount;             /* [groups] rows per group */
+    const int64_t *csr_groups;   /* CSR payload: groups sorted by link */
+    const int64_t *csr_starts;   /* [links+1] CSR row starts */
+    const int64_t *paths;        /* [rows*2] link ids, -1 = none */
+    double *remaining;           /* [rows] */
+    double *rates;               /* [rows] */
+    const double *sizes;         /* [rows] */
+    const int64_t *gids;         /* [rows] */
+    unsigned char *live;         /* [rows] numpy bool */
+    int64_t *picked;             /* [rows] finished rows, row order */
+    double *residual;            /* [links] */
+    double *load;                /* [links] */
+    double *keys;                /* [links] */
+    unsigned char *fixed;        /* [links] */
+    double *counts;              /* [links] */
+    double *gcountf;             /* [groups] */
+    unsigned char *gunfixed;     /* [groups] */
+    int64_t *touched;            /* [2*groups + 2] */
+    entry *heap;                 /* [links + 2*groups + 4] */
+} ledger;
+
+/* np.maximum(x, 0.0): a NaN propagates and -0.0 yields +0.0. */
+static double clamp0(double x) {
+    return (isnan(x) || x > 0.0) ? x : 0.0;
+}
+
+/* Move dt seconds of bytes: the numpy body of FluidNetwork._advance.
+   Nothing happens unless some row moves a positive amount; then every
+   row's remaining is clamped, and link bytes accumulate in (row,
+   link-in-path) order, the order np.add.at adds them. */
+void advance(const ledger *L, int64_t n, double dt) {
+    const double *rates = L->rates;
+    int64_t i = 0;
+    while (i < n && !(rates[i] * dt > 0.0)) i++;
+    if (i == n) return;
+    double *remaining = L->remaining;
+    double *link_bytes = L->link_bytes;
+    const int64_t *paths = L->paths;
+    for (i = 0; i < n; i++) {
+        double moved = rates[i] * dt;
+        /* Two rounded ops (-ffp-contract=off): no fused multiply-sub. */
+        remaining[i] = clamp0(remaining[i] - moved);
+        if (moved > 0.0) {
+            for (int64_t c = 0; c < 2; c++) {
+                int64_t link = paths[2 * i + c];
+                if (link >= 0) link_bytes[link] += moved;
+            }
+        }
+    }
+}
+
+/* Rows take their group's rate (live rows only when tombstones exist:
+   a dead row's rate stays exactly 0), and the earliest completion
+   remaining / rate over moving rows comes back -- NaN if any quotient
+   is NaN, like numpy's min; -inf when no row moves. */
+double assign(const ledger *L, int64_t n, const double *grates,
+              int64_t only_live) {
+    const unsigned char *live = L->live;
+    const int64_t *gids = L->gids;
+    const double *remaining = L->remaining;
+    double *rates = L->rates;
+    int moving = 0;
+    double eta = -INFINITY;
+    for (int64_t i = 0; i < n; i++) {
+        if (only_live && !live[i]) continue;
+        double rate = grates[gids[i]];
+        rates[i] = rate;
+        if (rate > 0.0) {
+            double q = remaining[i] / rate;
+            if (!moving) {
+                eta = q;
+                moving = 1;
+            } else if (!isnan(eta) && (isnan(q) || q < eta)) {
+                eta = q;
+            }
+        }
+    }
+    return eta;
+}
+
+/* The timer's finish scan: rows with remaining <= eps*size + eps (live
+   rows only when tombstones exist) go to picked in row order. */
+int64_t finish_scan(const ledger *L, int64_t n, int64_t only_live,
+                    double eps) {
+    const unsigned char *live = L->live;
+    const double *remaining = L->remaining;
+    const double *sizes = L->sizes;
+    int64_t *picked = L->picked;
+    int64_t count = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (only_live && !live[i]) continue;
+        if (remaining[i] <= eps * sizes[i] + eps) picked[count++] = i;
+    }
+    return count;
+}
+
+/* Drop the first count picked rows' group memberships and link loads
+   (exact integer decrements); tombstone them too (rate 0, live bit
+   cleared) when asked. */
+void release(const ledger *L, int64_t count, int64_t tombstone) {
+    const int64_t *picked = L->picked;
+    const int64_t *gids = L->gids;
+    const int64_t *paths = L->paths;
+    int64_t *gcount = L->gcount;
+    int64_t *load_counts = L->load_counts;
+    for (int64_t k = 0; k < count; k++) {
+        int64_t row = picked[k];
+        gcount[gids[row]] -= 1;
+        for (int64_t c = 0; c < 2; c++) {
+            int64_t link = paths[2 * row + c];
+            if (link >= 0) load_counts[link] -= 1;
+        }
+        if (tombstone) {
+            L->rates[row] = 0.0;
+            L->live[row] = 0;
+        }
+    }
+}
+
+/* One max-min fill over nl links and ng groups into grates[ng]; the
+   set-up (residual = capacity, int64 counts to double, cleared flags)
+   is done here.  Returns the number of filling rounds. */
+int64_t waterfill(const ledger *L, int64_t nl, int64_t ng, double *grates) {
+    const int64_t *gpaths = L->gpaths;
+    const int64_t *sorted_groups = L->csr_groups;
+    const int64_t *starts = L->csr_starts;
+    double *residual = L->residual;
+    double *load = L->load;
+    double *keys = L->keys;
+    unsigned char *fixed_link = L->fixed;
+    double *counts = L->counts;
+    double *gcountf = L->gcountf;
+    unsigned char *gunfixed = L->gunfixed;
+    int64_t *touched = L->touched;
+    entry *heap = L->heap;
+    int64_t unfixed_flows = 0;
+    for (int64_t i = 0; i < nl; i++) {
+        residual[i] = L->capacity[i];
+        load[i] = (double) L->load_counts[i];
+        fixed_link[i] = 0;
+        counts[i] = 0.0;
+    }
+    for (int64_t g = 0; g < ng; g++) {
+        gcountf[g] = (double) L->gcount[g];
+        gunfixed[g] = 1;
+        grates[g] = 0.0;
+        unfixed_flows += L->gcount[g];
+    }
     int64_t heap_len = 0;
     int64_t rounds = 0;
     for (int64_t i = 0; i < nl; i++) {
@@ -183,6 +351,57 @@ int64_t waterfill(
 }
 """
 
+# The ledger struct's fields, in C order, with each array's dtype.
+_SLOTS = (
+    ("capacity", np.float64),
+    ("load_counts", np.int64),
+    ("link_bytes", np.float64),
+    ("gpaths", np.int64),
+    ("gcount", np.int64),
+    ("csr_groups", np.int64),
+    ("csr_starts", np.int64),
+    ("paths", np.int64),
+    ("remaining", np.float64),
+    ("rates", np.float64),
+    ("sizes", np.float64),
+    ("gids", np.int64),
+    ("live", np.bool_),
+    ("picked", np.int64),
+    ("residual", np.float64),
+    ("load", np.float64),
+    ("keys", np.float64),
+    ("fixed", np.uint8),
+    ("counts", np.float64),
+    ("gcountf", np.float64),
+    ("gunfixed", np.uint8),
+    ("touched", np.int64),
+    ("heap", np.float64),
+)
+_SLOT_DTYPES = {name: np.dtype(dtype) for name, dtype in _SLOTS}
+
+
+class _Slots(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_void_p) for name, _ in _SLOTS]
+
+
+_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+# (kernel, return type, argument types); the first argument is always
+# the address of the bound ledger struct.
+_SIGNATURES = (
+    ("advance", None, [_PTR, _I64, _F64]),
+    ("waterfill", _I64, [_PTR, _I64, _I64, _PTR]),
+    ("assign", _F64, [_PTR, _I64, _PTR, _I64]),
+    ("finish_scan", _I64, [_PTR, _I64, _I64, _F64]),
+    ("release", None, [_PTR, _I64, _I64]),
+)
+
+# What ``assign`` returns when no row moves: a real ETA is a quotient of
+# non-negative remaining bytes by a positive rate, never -inf.
+NOTHING_MOVING = -math.inf
+
+# Arena slab size in doubles (512 KiB); larger rate arrays get a slab each.
+_SLAB_DOUBLES = 1 << 16
+
 # src/repro/netsim/_waterfill.py -> repo root / build / waterfill
 _BUILD_DIR = Path(__file__).resolve().parents[3] / "build" / "waterfill"
 
@@ -214,14 +433,10 @@ def _compile() -> Optional[ctypes.CDLL]:
         lib = ctypes.CDLL(str(lib_path))
     except Exception:
         return None
-    fn = lib.waterfill
-    fn.restype = ctypes.c_int64
-    fn.argtypes = (
-        [ctypes.c_int64, ctypes.c_int64]
-        + [ctypes.c_void_p] * 7
-        + [ctypes.c_int64]
-        + [ctypes.c_void_p] * 6
-    )
+    for name, restype, argtypes in _SIGNATURES:
+        fn = getattr(lib, name)
+        fn.restype = restype
+        fn.argtypes = argtypes
     return lib
 
 
@@ -237,70 +452,102 @@ def kernel() -> Optional[ctypes.CDLL]:
     return _kernel
 
 
-class Scratch:
-    """Reusable kernel work buffers, sized with geometric headroom.
+class Ledger:
+    """The compiled kernels bound to one network's arrays.
 
-    A solve runs thousands of times per iteration at fleet scale;
-    allocating multi-hundred-KB scratch arrays per call costs more in
-    page faults than the filling loop itself.  One Scratch instance is
-    kept per network and regrown only when the link/group tables do.
-    ``counts`` is zero between calls by construction: the kernel zeroes
-    every touched slot before any of its exit paths.
+    Each kernel takes the address of one C struct of array addresses
+    (``_SLOTS``), so a call converts two to four scalars instead of a
+    dozen ``ndarray.ctypes.data`` lookups.  The network rebinds an array
+    whenever it reallocates it (:meth:`bind`); every bound array is held
+    here, so no address can outlive its buffer.  The fill's scratch
+    buffers are owned here and regrown with geometric headroom
+    (:meth:`reserve`): a solve runs thousands of times per iteration at
+    fleet scale, and fresh multi-hundred-KB buffers per call would cost
+    more in page faults than the filling loop itself.
+
+    The kernels, with the network's row count ``n``:
+
+    * ``advance(n, dt)`` moves ``dt`` seconds of bytes;
+    * ``waterfill(num_links, num_groups, grates_address)`` fills the
+      per-group rates into the array at ``grates_address``;
+    * ``assign(n, grates_address, only_live)`` hands every (live) row its
+      group's rate and returns the next completion's ETA, or
+      :data:`NOTHING_MOVING`;
+    * ``finish_scan(n, only_live, eps)`` writes the finished rows to the
+      bound ``picked`` buffer and returns their count;
+    * ``release(count, tombstone)`` drops the group and link loads of
+      the first ``count`` picked rows, and zeroes their rate and live bit
+      when ``tombstone`` is set.
     """
 
-    def __init__(self, num_links: int, num_groups: int):
+    def __init__(self, lib: ctypes.CDLL):
+        self._slots = _Slots()
+        self._arrays: Dict[str, np.ndarray] = {}
+        address = ctypes.addressof(self._slots)
+        for name, _, _ in _SIGNATURES:
+            setattr(self, name, functools.partial(getattr(lib, name), address))
+        self._links = self._groups = -1
+        # The arena rate arrays are carved from: (slab, address) pairs,
+        # the slab being carved and the doubles already used in it.
+        self._slabs: List[Tuple[np.ndarray, int]] = []
+        self._slab = 0
+        self._used = 0
+
+    def bind(self, **arrays: np.ndarray) -> None:
+        """Point the named slots at ``arrays`` (kept alive here)."""
+        for name, array in arrays.items():
+            dtype = _SLOT_DTYPES[name]
+            if array.dtype != dtype or not array.flags.c_contiguous:
+                raise TypeError(
+                    f"slot {name!r} needs a C-contiguous {dtype} array"
+                )
+            self._arrays[name] = array
+            setattr(self._slots, name, array.ctypes.data)
+
+    def reserve(self, num_links: int, num_groups: int) -> None:
+        """Grow the fill's scratch to ``num_links`` x ``num_groups``."""
+        if num_links <= self._links and num_groups <= self._groups:
+            return
         nl = num_links * 3 // 2 + 64
         ng = num_groups * 3 // 2 + 64
-        self.nl = nl
-        self.ng = ng
-        self.residual = np.empty(nl)
-        self.load = np.empty(nl)
-        self.keys = np.empty(nl)
-        self.fixed = np.empty(nl, dtype=np.uint8)
-        self.counts = np.zeros(nl)
-        self.gcountf = np.empty(ng)
-        self.gunfixed = np.empty(ng, dtype=np.uint8)
-        self.touched = np.empty(2 * ng + 2, dtype=np.int64)
-        self.heap = np.empty(2 * (nl + 2 * ng + 4))  # (double, int64) pairs
-
-    def fits(self, num_links: int, num_groups: int) -> bool:
-        return num_links <= self.nl and num_groups <= self.ng
-
-
-def run(
-    lib: ctypes.CDLL,
-    scratch: Scratch,
-    capacity: np.ndarray,
-    load_counts: np.ndarray,
-    gpaths: np.ndarray,
-    gcount: np.ndarray,
-    sorted_groups: np.ndarray,
-    starts: np.ndarray,
-    grates: np.ndarray,
-    unfixed_flows: int,
-) -> int:
-    """Invoke the compiled filling loop; mutates ``grates`` in place."""
-    nl = capacity.shape[0]
-    ng = grates.shape[0]
-    residual = scratch.residual[:nl]
-    np.copyto(residual, capacity)
-    load = scratch.load[:nl]
-    np.copyto(load, load_counts, casting="unsafe")  # int64 -> float64
-    gcountf = scratch.gcountf[:ng]
-    np.copyto(gcountf, gcount, casting="unsafe")
-    scratch.fixed[:nl] = 0
-    scratch.gunfixed[:ng] = 1
-
-    def ptr(array: np.ndarray) -> ctypes.c_void_p:
-        return ctypes.c_void_p(array.ctypes.data)
-
-    return int(
-        lib.waterfill(
-            nl, ng,
-            ptr(residual), ptr(load), ptr(gpaths), ptr(gcountf),
-            ptr(sorted_groups), ptr(starts), ptr(grates),
-            int(unfixed_flows),
-            ptr(scratch.keys), ptr(scratch.fixed), ptr(scratch.gunfixed),
-            ptr(scratch.counts), ptr(scratch.touched), ptr(scratch.heap),
+        self._links, self._groups = nl, ng
+        self.bind(
+            residual=np.empty(nl),
+            load=np.empty(nl),
+            keys=np.empty(nl),
+            fixed=np.empty(nl, dtype=np.uint8),
+            counts=np.empty(nl),
+            gcountf=np.empty(ng),
+            gunfixed=np.empty(ng, dtype=np.uint8),
+            touched=np.empty(2 * ng + 2, dtype=np.int64),
+            heap=np.empty(2 * (nl + 2 * ng + 4)),  # (double, int64) pairs
         )
-    )
+
+    def carve(self, size: int) -> Tuple[np.ndarray, int]:
+        """A fresh ``size``-double array from the arena, and its address.
+
+        Memoized rate arrays live until the next :meth:`rewind`; carving
+        them from reused slabs costs neither an allocation nor an address
+        lookup per solve, and writes into warm pages (fresh
+        multi-hundred-KB arrays would fault in new pages on every solve at
+        fleet scale, which costs more than the solve itself).
+        """
+        slabs = self._slabs
+        while self._slab < len(slabs):
+            slab, base = slabs[self._slab]
+            start = self._used
+            if start + size <= slab.shape[0]:
+                self._used = start + size
+                return slab[start:start + size], base + 8 * start
+            self._slab += 1
+            self._used = 0
+        slab = np.empty(max(_SLAB_DOUBLES, size))
+        slabs.append((slab, slab.ctypes.data))
+        return self.carve(size)
+
+    def rewind(self) -> None:
+        """Reuse the arena from its start: every carved array is dead."""
+        self._slab = 0
+        self._used = 0
+
+

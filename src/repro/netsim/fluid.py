@@ -51,6 +51,12 @@ solver reruns on every flow arrival/departure):
   flows are rows only, admitted by one vectorized append per start
   instant and joined by a countdown, so they cost no per-flow object,
   latency record or completion event.
+* Where a C compiler is available, the per-instant arithmetic — the byte
+  advance, the fill and its set-up, the rate scatter with the
+  next-completion scan, and the timer's finish scan and release — runs
+  in the compiled kernels of :mod:`._waterfill` on addresses bound in
+  advance; the numpy code beside each call is the fallback and the
+  bit-identical reference (``REPRO_WATERFILL=python``).
 """
 
 from __future__ import annotations
@@ -236,6 +242,8 @@ class FluidNetwork:
         # still in flight; _active carries None at dead rows so row indices
         # stay aligned until the next compaction.
         self._live = np.zeros(0, dtype=bool)
+        # Compiled backend only: the rows a finish scan picked.
+        self._picked = np.zeros(0, dtype=np.int64)
         self._live_count = 0
         self._dead_count = 0
         self._n = 0
@@ -249,11 +257,13 @@ class FluidNetwork:
         # signature): flow populations recur, so identical signatures are
         # common across non-consecutive recomputes.  The cache is bounded
         # by entry count and by bytes (fleet-scale rate arrays run to
-        # hundreds of KB each); evicted arrays are recycled through
-        # ``_grates_pool`` so solves write into warm pages.
-        self._solve_cache: Dict[Tuple[int, bytes], np.ndarray] = {}
+        # hundreds of KB each).  Each entry is (rates, their address); the
+        # compiled solver carves its rate arrays from the ledger's arena,
+        # which an eviction rewinds, so solves write into warm pages.
+        self._solve_cache: Dict[
+            Tuple[int, bytes], Tuple[np.ndarray, int]
+        ] = {}
         self._solve_cache_bytes = 0
-        self._grates_pool: List[np.ndarray] = []
         # Highest group id that ever held a flow: upper bound for the
         # populated-signature width (avoids an O(groups) nonzero scan on
         # every recompute instant).
@@ -267,8 +277,10 @@ class FluidNetwork:
         self._csr_gvalid: Optional[np.ndarray] = None
         self._csr_rowsum: Optional[np.ndarray] = None
         self._csr_shape = (-1, -1)
-        # Reusable work buffers for the compiled solver (see _waterfill).
-        self._solve_scratch: Optional[_waterfill.Scratch] = None
+        # The compiled kernels bound to this network's arrays, or None on
+        # the numpy path; chosen once, at the first rate assignment.
+        self._ledger: Optional[_waterfill.Ledger] = None
+        self._backend_chosen = False
         self._last_update = env.now
         self._generation = 0
         self._recompute_pending = False
@@ -292,6 +304,7 @@ class FluidNetwork:
             self._capacity = _grow(self._capacity, grown)
             self._link_bytes = _grow(self._link_bytes, grown)
             self._load_counts = _grow(self._load_counts, grown)
+            self._bind_links()
         self._index[link_id] = index
         self._capacity[index] = float(bandwidth)
         self._link_bytes[index] = 0.0
@@ -508,6 +521,7 @@ class FluidNetwork:
         self._sizes = _grow(self._sizes, grown)
         self._gids = _grow(self._gids, grown)
         self._live = _grow(self._live, grown)
+        self._bind_rows()
 
     def _append_row(self, flow: Flow) -> None:
         row = self._n
@@ -564,6 +578,7 @@ class FluidNetwork:
             grown = max(16, 2 * gid)
             self._group_paths = _grow(self._group_paths, grown, fill=-1)
             self._group_count = _grow(self._group_count, grown)
+            self._bind_groups()
         self._group_paths[gid] = -1
         self._group_paths[gid, : len(path_index)] = path_index
         self._group_count[gid] = 0
@@ -574,7 +589,12 @@ class FluidNetwork:
     def _release(self, rows: np.ndarray) -> None:
         """Drop ``rows``' group memberships and link loads (in-place
         scatter-decrements: exact integer arithmetic, and no
-        O(num_groups)/O(num_links) bincount allocation per instant)."""
+        O(num_groups)/O(num_links) bincount allocation per instant).
+        On the compiled backend ``rows`` is always the head of
+        ``_picked``, where the native pass reads them."""
+        if self._ledger is not None:
+            self._ledger.release(rows.shape[0], 0)
+            return
         np.subtract.at(self._group_count, self._gids[rows], 1)
         paths = self._paths[rows]
         links = paths[paths >= 0]
@@ -590,17 +610,18 @@ class FluidNetwork:
             if owner.__class__ is Flow:
                 owner._row = row
 
-    def _remove_rows(self, finished_mask: np.ndarray) -> List[object]:
-        """Retire the masked rows and return their owners in row order.
+    def _remove_rows(self, rows: np.ndarray) -> List[object]:
+        """Retire ``rows`` (ascending) and return their owners in row
+        order.
 
         Coalesced mode tombstones in O(finished); the uncoalesced
         reference compacts the ledger eagerly (O(active) per call).
         """
-        rows = np.flatnonzero(finished_mask)
         if self.coalesce:
             return self._retire_rows(rows)
         n = self._n
-        keep = ~finished_mask
+        keep = np.ones(n, dtype=bool)
+        keep[rows] = False
         active = self._active
         finished = [active[row] for row in rows.tolist()]
         self._release(rows)
@@ -626,9 +647,12 @@ class FluidNetwork:
         for row in rows.tolist():
             finished.append(active[row])
             active[row] = None
-        self._release(rows)
-        self._rates[rows] = 0.0
-        self._live[rows] = False
+        if self._ledger is not None:
+            self._ledger.release(rows.shape[0], 1)  # and tombstone them
+        else:
+            self._release(rows)
+            self._rates[rows] = 0.0
+            self._live[rows] = False
         self._dead_count += rows.size
         self._live_count -= rows.size
         if self._live_count == 0:
@@ -656,6 +680,64 @@ class FluidNetwork:
         self._n = k
         self._dead_count = 0
 
+    # -- backend --------------------------------------------------------------
+
+    def _choose_backend(self) -> None:
+        """Bind the compiled kernels to this network's arrays, or stay
+        on the numpy path (no compiler, or ``REPRO_WATERFILL=python``).
+
+        The one place the backend is chosen: lazily, at the first rate
+        assignment, so building a network never pays the library load or
+        a first compile.  Until then every rate is 0, so the numpy
+        :meth:`_advance` it may run first moves nothing.
+        """
+        self._backend_chosen = True
+        lib = _waterfill.kernel()
+        if lib is None:
+            return
+        self._ledger = _waterfill.Ledger(lib)
+        self._bind_links()
+        self._bind_groups()
+        self._bind_rows()
+        self._bind_csr()
+
+    # The kernels hold raw addresses: each array is rebound right where
+    # it is reallocated.
+
+    def _bind_links(self) -> None:
+        if self._ledger is not None:
+            self._ledger.bind(
+                capacity=self._capacity,
+                load_counts=self._load_counts,
+                link_bytes=self._link_bytes,
+            )
+
+    def _bind_groups(self) -> None:
+        if self._ledger is not None:
+            self._ledger.bind(
+                gpaths=self._group_paths, gcount=self._group_count
+            )
+
+    def _bind_rows(self) -> None:
+        if self._ledger is not None:
+            # Finished rows, written by the native finish scan.
+            self._picked = np.empty(self._remaining.shape[0], dtype=np.int64)
+            self._ledger.bind(
+                paths=self._paths,
+                remaining=self._remaining,
+                rates=self._rates,
+                sizes=self._sizes,
+                gids=self._gids,
+                live=self._live,
+                picked=self._picked,
+            )
+
+    def _bind_csr(self) -> None:
+        if self._ledger is not None and self._csr_groups is not None:
+            self._ledger.bind(
+                csr_groups=self._csr_groups, csr_starts=self._csr_starts
+            )
+
     # -- recompute scheduling ------------------------------------------------
 
     def _schedule_recompute(self) -> None:
@@ -682,24 +764,19 @@ class FluidNetwork:
         dt = now - self._last_update
         n = self._n
         if dt > 0 and n:
-            moved = self._rates[:n] * dt
-            positive = moved > 0
-            if positive.any():
-                remaining = self._remaining[:n]
-                np.maximum(remaining - moved, 0.0, out=remaining)
-                # Accumulate per-link bytes in (flow, link-in-path) order —
-                # the same float addition order as a per-flow loop.
-                paths = self._paths[:n]
-                mask = (paths >= 0) & positive[:, None]
-                np.add.at(
-                    self._link_bytes,
-                    paths[mask],
-                    np.broadcast_to(moved[:, None], (n, 2))[mask],
+            if self._ledger is not None:
+                self._ledger.advance(n, dt)
+            else:
+                _move_bytes(
+                    self._rates[:n], self._remaining[:n], self._paths[:n],
+                    self._link_bytes, dt,
                 )
         self._last_update = now
 
-    def _assign_rates(self) -> None:
-        """Water-filling max-min fair allocation (incremental, vectorized).
+    def _assign_rates(self) -> float:
+        """Water-filling max-min fair allocation (incremental, vectorized);
+        returns the earliest completion's ETA over moving rows, or
+        ``_waterfill.NOTHING_MOVING``.
 
         The filling rounds run over path *groups* (flows with an identical
         link tuple) with multiplicities, which is arithmetically identical
@@ -717,9 +794,11 @@ class FluidNetwork:
         bottleneck (appended links/groups never reorder earlier indices,
         so argmin tie-breaks are stable too).
         """
+        if not self._backend_chosen:
+            self._choose_backend()
         n = self._n
         if not n:
-            return
+            return _waterfill.NOTHING_MOVING
         num_groups = self._num_groups
         gcount = self._group_count[:num_groups]
         # _gid_hi bounds the last populated group from above; trailing
@@ -727,53 +806,58 @@ class FluidNetwork:
         # entry, never a false hit.
         width = self._gid_hi + 1
         key = (self._capacity_epoch, gcount[:width].tobytes())
-        grates = self._solve_cache.get(key)
-        if grates is None:
-            grates = self._solve(num_groups, gcount)
+        cached = self._solve_cache.get(key)
+        if cached is None:
+            # Evict before solving: the eviction rewinds the arena the
+            # new solve is carved from.
             if (
                 len(self._solve_cache) >= 4096
                 or self._solve_cache_bytes >= _SOLVE_CACHE_BUDGET
             ):
                 self._evict_solve_cache()
-            self._solve_cache[key] = grates
-            self._solve_cache_bytes += grates.nbytes
+            cached = self._solve(num_groups, gcount)
+            self._solve_cache[key] = cached
+            self._solve_cache_bytes += cached[0].nbytes
+        grates, address = cached
         # Every active flow's group lies inside the trimmed signature, so a
         # cached array from a smaller group table still covers all gids.
+        # Only live rows take the solved rate: a tombstoned row's rate
+        # stays exactly 0 (what makes it invisible to _advance and the
+        # completion timer), and its group may be empty — i.e. beyond the
+        # cached array's trim width — so it must not index grates.
+        if self._ledger is not None:
+            return self._ledger.assign(n, address, self._dead_count)
         rates = self._rates[:n]
         if self._dead_count:
-            # Only live rows take the solved rate: a tombstoned row's rate
-            # stays exactly 0 (what makes it invisible to _advance and the
-            # completion timer), and its group may be empty — i.e. beyond
-            # the cached array's trim width — so it must not index grates.
             live = self._live[:n]
             rates[live] = grates[self._gids[:n][live]]
         else:
             rates[:] = grates[self._gids[:n]]
+        moving = rates > 0
+        if not moving.any():
+            return _waterfill.NOTHING_MOVING
+        return float((self._remaining[:n][moving] / rates[moving]).min())
 
     def _evict_solve_cache(self) -> None:
-        """Drop every cached solve, recycling the arrays still large
-        enough for the current group table into the grates pool."""
-        pool = self._grates_pool
-        num_groups = self._num_groups
-        for cached in self._solve_cache.values():
-            base = cached.base if cached.base is not None else cached
-            if base.shape[0] >= num_groups and len(pool) < 256:
-                pool.append(base)
+        """Drop every cached solve (and rewind the compiled solver's
+        arena: no cached rate array is left to overwrite)."""
         self._solve_cache.clear()
         self._solve_cache_bytes = 0
+        if self._ledger is not None:
+            self._ledger.rewind()
 
-    def _solve(self, num_groups: int, gcount: np.ndarray) -> np.ndarray:
-        """One full water-filling pass; returns per-group rates."""
-        lib = _waterfill.kernel()
-        if lib is not None:
-            return self._solve_compiled(num_groups, gcount, lib)
+    def _solve(
+        self, num_groups: int, gcount: np.ndarray
+    ) -> Tuple[np.ndarray, int]:
+        """One full water-filling pass; returns the per-group rates and
+        their address (0 on the numpy path)."""
+        if self._ledger is not None:
+            return self._solve_compiled(num_groups)
         if self.coalesce:
-            return self._solve_active(num_groups, gcount)
-        return self._solve_dense(num_groups, gcount)
+            return self._solve_active(num_groups, gcount), 0
+        return self._solve_dense(num_groups, gcount), 0
 
-    def _solve_compiled(
-        self, num_groups: int, gcount: np.ndarray, lib
-    ) -> np.ndarray:
+    def _solve_compiled(self, num_groups: int) -> Tuple[np.ndarray, int]:
         """Water-filling via the compiled kernel (see ``_waterfill``).
 
         Runs the dense-solver semantics — full link space, cached CSR
@@ -782,34 +866,18 @@ class FluidNetwork:
         kernel performs the identical IEEE-754 operations in the
         identical order, so the rates are bitwise those of
         :meth:`_solve_dense` (and, by the coalescing invariant, of
-        :meth:`_solve_active`).
+        :meth:`_solve_active`).  The set-up is in the kernel too, so a
+        solve is one foreign call.
         """
         num_links = self._num_links
         self._ensure_csr(num_groups)
-        scratch = self._solve_scratch
-        if scratch is None or not scratch.fits(num_links, num_groups):
-            scratch = _waterfill.Scratch(num_links, num_groups)
-            self._solve_scratch = scratch
+        ledger = self._ledger
+        ledger.reserve(num_links, num_groups)
         # The result lands in the memoization cache, so it needs its own
-        # array — but recycling evicted buffers keeps their pages warm
-        # (fresh multi-hundred-KB allocations fault in new pages on every
-        # solve at fleet scale, which costs more than the solve itself).
-        pool = self._grates_pool
-        while pool and pool[-1].shape[0] < num_groups:
-            pool.pop()  # group table outgrew this buffer
-        if pool:
-            grates = pool.pop()[:num_groups]
-            grates[:] = 0.0
-        else:
-            grates = np.zeros(num_groups * 3 // 2 + 64)[:num_groups]
-        _waterfill.run(
-            lib, scratch, self._capacity[:num_links],
-            self._load_counts[:num_links],
-            self._group_paths[:num_groups], gcount,
-            self._csr_groups, self._csr_starts, grates,
-            int(gcount.sum()),
-        )
-        return grates
+        # array: one carved from the arena.
+        grates, address = ledger.carve(num_groups)
+        ledger.waterfill(num_links, num_groups, address)
+        return grates, address
 
     def _solve_active(self, num_groups: int, gcount: np.ndarray) -> np.ndarray:
         """Water-filling restricted to links with at least one crossing
@@ -916,6 +984,7 @@ class FluidNetwork:
         self._csr_gvalid = gvalid
         self._csr_rowsum = gvalid.sum(axis=1)
         self._csr_shape = (num_groups, num_links)
+        self._bind_csr()
 
     def _solve_dense(self, num_groups: int, gcount: np.ndarray) -> np.ndarray:
         """Water-filling over every registered link (uncoalesced
@@ -971,81 +1040,91 @@ class FluidNetwork:
 
     def _reschedule(self) -> None:
         """Recompute rates and arm a timer for the next flow completion."""
-        self._assign_rates()
+        next_done = self._assign_rates()
         self._generation += 1
-        n = self._n
-        if not n:
-            return
-        rates = self._rates[:n]
-        moving = rates > 0
-        if not moving.any():
-            return
-        next_done = float(
-            (self._remaining[:n][moving] / rates[moving]).min()
-        )
-        self.env.call_later(
-            max(next_done, 0.0), self._on_timer, self._generation
-        )
+        if next_done != _waterfill.NOTHING_MOVING:
+            self.env.call_later(
+                max(next_done, 0.0), self._on_timer, self._generation
+            )
 
     def _on_timer(self, generation: int) -> None:
         if generation != self._generation:
             return  # superseded by a newer reschedule
         self._advance()
         n = self._n
-        remaining = self._remaining[:n]
-        sizes = self._sizes[:n]
-        finished_mask = remaining <= _EPSILON * sizes + _EPSILON
-        if self._dead_count:
-            # Tombstoned rows sit at ~0 remaining; only live rows finish.
-            finished_mask &= self._live[:n]
-        if not finished_mask.any():
-            # The timer was armed for the minimum-ETA flow; if floating
-            # point residue kept its remaining microscopically above the
-            # threshold, finish it anyway rather than looping on
-            # zero-length timers.  Guard: only genuine residue qualifies —
-            # a stale timer looking at a flow with real bytes left (e.g.
-            # its rate was rescaled by set_capacity mid-flight) must
-            # recompute and re-arm instead of force-finishing.
-            rates = self._rates[:n]
-            moving = np.flatnonzero(rates > 0)
-            if moving.size:
-                etas = remaining[moving] / rates[moving]
-                candidate = int(moving[int(etas.argmin())])
-                # The relative band covers drift on large flows; the ETA
-                # clause covers small ones, where ``remaining -= rate*dt``
-                # cancellation leaves ~rate*ulp(now) bytes — more than any
-                # relative tolerance of a few-hundred-byte flow, yet with
-                # a completion time below the clock's float resolution
-                # (``now + eta == now``).  A timer for such a flow can
-                # never advance the clock, so finishing is the only
-                # faithful move; anything with a representable ETA still
-                # recomputes and re-arms.
-                now = self.env.now
-                eta = float(etas.min())
-                if now + eta <= now:
-                    # The whole sub-ulp cohort finishes together.  Retiring
-                    # rows only frees capacity, so any flow whose ETA is
-                    # already below the clock's resolution stays there as
-                    # its peers retire — finishing them one timer round at
-                    # a time would land every one at this same ``now``
-                    # while paying a full solve per flow (the fleet-scale
-                    # cascade pathology).
-                    finished_mask[moving[now + etas <= now]] = True
-                elif (
-                    remaining[candidate]
-                    <= _FORCE_FINISH_REL * sizes[candidate] + _EPSILON
-                ):
-                    finished_mask[candidate] = True
-                else:
-                    self._schedule_recompute()
-                    return
-        if finished_mask.any():
+        ledger = self._ledger
+        if ledger is not None:
+            rows = self._picked[
+                : ledger.finish_scan(n, self._dead_count, _EPSILON)
+            ]
+        else:
+            finished_mask = (
+                self._remaining[:n] <= _EPSILON * self._sizes[:n] + _EPSILON
+            )
+            if self._dead_count:
+                # Tombstoned rows sit at ~0 remaining; only live rows finish.
+                finished_mask &= self._live[:n]
+            rows = np.flatnonzero(finished_mask)
+        if not rows.size:
+            rows = self._residue_rows(n)
+            if rows is None:
+                self._schedule_recompute()
+                return
+            if ledger is not None:
+                # The native retirement reads its rows from ``_picked``.
+                self._picked[: rows.size] = rows
+                rows = self._picked[: rows.size]
+        if rows.size:
             # Sizes are read before retirement may compact the ledger.
-            sizes = self._sizes[:n][finished_mask].tolist()
+            sizes = self._sizes[rows].tolist()
             land = self._land
-            for owner, size in zip(self._remove_rows(finished_mask), sizes):
+            for owner, size in zip(self._remove_rows(rows), sizes):
                 land(owner, size)
         self._schedule_recompute()
+
+    def _residue_rows(self, n: int) -> Optional[np.ndarray]:
+        """Rows to finish when the timer found none done, or None when
+        the network must recompute and re-arm instead.
+
+        The timer was armed for the minimum-ETA flow; if floating point
+        residue kept its remaining microscopically above the threshold,
+        finish it anyway rather than looping on zero-length timers.
+        Guard: only genuine residue qualifies — a stale timer looking at a
+        flow with real bytes left (e.g. its rate was rescaled by
+        set_capacity mid-flight) must recompute and re-arm instead of
+        force-finishing.
+        """
+        remaining = self._remaining[:n]
+        rates = self._rates[:n]
+        moving = np.flatnonzero(rates > 0)
+        if not moving.size:
+            return moving
+        etas = remaining[moving] / rates[moving]
+        candidate = int(moving[int(etas.argmin())])
+        # The relative band covers drift on large flows; the ETA clause
+        # covers small ones, where ``remaining -= rate*dt`` cancellation
+        # leaves ~rate*ulp(now) bytes — more than any relative tolerance
+        # of a few-hundred-byte flow, yet with a completion time below the
+        # clock's float resolution (``now + eta == now``).  A timer for
+        # such a flow can never advance the clock, so finishing is the
+        # only faithful move; anything with a representable ETA still
+        # recomputes and re-arms.
+        now = self.env.now
+        eta = float(etas.min())
+        if now + eta <= now:
+            # The whole sub-ulp cohort finishes together.  Retiring rows
+            # only frees capacity, so any flow whose ETA is already below
+            # the clock's resolution stays there as its peers retire —
+            # finishing them one timer round at a time would land every
+            # one at this same ``now`` while paying a full solve per flow
+            # (the fleet-scale cascade pathology).
+            return moving[now + etas <= now]
+        if (
+            remaining[candidate]
+            <= _FORCE_FINISH_REL * self._sizes[candidate] + _EPSILON
+        ):
+            return np.array([candidate], dtype=np.int64)
+        return None
 
     def _land(self, owner, size: float) -> None:
         """A row's last byte landed: account it and fire its owner — the
@@ -1072,6 +1151,30 @@ class FluidNetwork:
         index = self._index[link_id]
         return float(
             self._link_bytes[index] / (self._capacity[index] * elapsed)
+        )
+
+
+def _move_bytes(
+    rates: np.ndarray,
+    remaining: np.ndarray,
+    paths: np.ndarray,
+    link_bytes: np.ndarray,
+    dt: float,
+) -> None:
+    """Move ``dt`` seconds of bytes over rows with ``rates`` and
+    ``paths``: the numpy body of :meth:`FluidNetwork._advance`, and the
+    reference of the compiled ``advance``."""
+    moved = rates * dt
+    positive = moved > 0
+    if positive.any():
+        np.maximum(remaining - moved, 0.0, out=remaining)
+        # Accumulate per-link bytes in (flow, link-in-path) order — the
+        # same float addition order as a per-flow loop.
+        mask = (paths >= 0) & positive[:, None]
+        np.add.at(
+            link_bytes,
+            paths[mask],
+            np.broadcast_to(moved[:, None], paths.shape)[mask],
         )
 
 

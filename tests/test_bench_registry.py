@@ -38,6 +38,7 @@ def _scaled(snapshot, median_factor, calibration_factor):
     current["calibration_s"] *= calibration_factor
     for entry in current["runs"].values():
         entry["median_s"] *= median_factor
+        entry["calibration_s"] *= calibration_factor
     return current
 
 
@@ -82,8 +83,13 @@ class TestEverySuite:
         elif suite.wall == "parallel":
             expected.add("parallel")
         assert set(snapshot) == expected
-        host = {"python", "numpy"} | ({"cpus"} if suite.wall else set())
+        host = {"python", "numpy", "waterfill", "coalesce"}
+        host |= {"cpus"} if suite.wall else set()
         assert set(snapshot["host"]) == host
+        # Every config carries the calibration sampled beside it.
+        assert all(
+            entry["calibration_s"] > 0 for entry in snapshot["runs"].values()
+        )
         options = {option: snapshot["config"][option]
                    for option in suite.options}
         config = suite.config(suite.full, 1, **options)

@@ -11,8 +11,9 @@ import json
 import pytest
 
 from repro.bench import SUITES, check_snapshot, write_snapshot
-from repro.bench.harness import CALIBRATION_SCALE_BOUNDS
+from repro.bench.harness import CALIBRATION_SCALE_BOUNDS, sample, solver_backend
 from repro.bench.speed import BenchConfig, time_config
+from repro.netsim import _waterfill
 
 SUITE = SUITES["sim"]
 
@@ -109,6 +110,94 @@ class TestCheckSnapshot:
             snap["runs"]["MoE-GPT/data-centric"]
         )
         cur = _capture(0.100)
+        assert check_snapshot(cur, snap, tolerance=0.25) == []
+
+
+def _with_backend(capture, waterfill, coalesce=True):
+    capture["host"] = {"python": "3", "numpy": "2",
+                       "waterfill": waterfill, "coalesce": coalesce}
+    return capture
+
+
+def _config_calibrated(capture, calibration_s):
+    for entry in capture["runs"].values():
+        entry["calibration_s"] = calibration_s
+    return capture
+
+
+class TestSolverBackend:
+    def test_capture_records_the_backend(self):
+        spec = BenchConfig("MoE-GPT", "expert-centric")
+        current = SUITE.capture(configs=[spec], runs=1, jobs=1)
+        assert current["host"]["waterfill"] in ("compiled", "python")
+        assert current["host"]["coalesce"] is True
+
+    def test_backend_follows_the_kernel_probe(self, monkeypatch):
+        monkeypatch.setattr(_waterfill, "kernel", lambda: None)
+        assert solver_backend() == {"waterfill": "python", "coalesce": True}
+
+    def test_mismatch_is_one_problem_not_a_regression(self):
+        # The numpy fallback is several times slower in host time: the
+        # gate says so once instead of flagging every median.
+        snap = _with_backend(_capture(0.100), "compiled")
+        cur = _with_backend(_capture(0.500), "python")
+        problems = check_snapshot(cur, snap, tolerance=0.25)
+        assert len(problems) == 1
+        assert "waterfill=python" in problems[0]
+        assert "waterfill=compiled" in problems[0]
+        assert problems[0].startswith("solver backend")
+
+    def test_coalescing_mismatch_is_reported(self):
+        snap = _with_backend(_capture(0.100), "compiled", coalesce=True)
+        cur = _with_backend(_capture(0.100), "compiled", coalesce=False)
+        assert len(check_snapshot(cur, snap, tolerance=0.25)) == 1
+
+    def test_same_backend_compares_medians(self):
+        snap = _with_backend(_capture(0.100), "compiled")
+        cur = _with_backend(_capture(0.200), "compiled")
+        problems = check_snapshot(cur, snap, tolerance=0.25)
+        assert len(problems) == 1
+        assert ": median" in problems[0]
+
+    def test_snapshot_without_the_record_compares_medians(self):
+        snap = _capture(0.100)
+        cur = _with_backend(_capture(0.200), "python")
+        problems = check_snapshot(cur, snap, tolerance=0.25)
+        assert len(problems) == 1
+        assert ": median" in problems[0]
+
+
+class TestPerConfigCalibration:
+    def test_sample_calibrates_beside_its_runs(self):
+        timing, _ = sample(2, lambda _: None)
+        assert timing["calibration_s"] > 0
+
+    def test_capture_entries_carry_their_own_calibration(self):
+        spec = BenchConfig("MoE-GPT", "expert-centric")
+        current = SUITE.capture(configs=[spec], runs=1, jobs=1)
+        assert current["runs"][spec.key]["calibration_s"] > 0
+
+    def test_two_x_slowdown_fails_beside_a_slow_sweep_calibration(self):
+        # The sweep-level calibration was taken while the host was slow
+        # (2x); the config's own calibration saw the normal speed, so a
+        # 2x slower simulator still fails.
+        snap = _config_calibrated(_capture(0.100, calibration_s=0.010), 0.010)
+        cur = _config_calibrated(_capture(0.200, calibration_s=0.020), 0.010)
+        problems = check_snapshot(cur, snap, tolerance=0.25)
+        assert len(problems) == 1
+        assert "calibration 1.00" in problems[0]
+
+    def test_config_slowed_by_the_host_passes(self):
+        # The host halved its speed while this config ran (its own
+        # calibration doubled) but not when the sweep-level sample was
+        # taken: the config's gate follows its own calibration.
+        snap = _config_calibrated(_capture(0.100, calibration_s=0.010), 0.010)
+        cur = _config_calibrated(_capture(0.200, calibration_s=0.010), 0.020)
+        assert check_snapshot(cur, snap, tolerance=0.25) == []
+
+    def test_older_snapshot_falls_back_to_the_capture_calibration(self):
+        snap = _capture(0.100, calibration_s=0.010)
+        cur = _config_calibrated(_capture(0.200, calibration_s=0.020), 0.010)
         assert check_snapshot(cur, snap, tolerance=0.25) == []
 
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import gc
+from pathlib import Path
 
 import pytest
 
@@ -261,15 +262,25 @@ class TestObservabilityCommands:
         assert report["chunk_tuning"]["retunes"] == 2
         assert report["chunk_tuning"]["blocks"]
 
-    def test_report_without_tuning_prints_no_table(self, capsys):
+    def test_report_without_tuning_prints_no_table(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # Without --out the report lands in the working directory: run
+        # it in a scratch one, so the checkout's files stay untouched.
+        start = _file_stamps(Path.cwd())
+        monkeypatch.chdir(tmp_path)
         assert main([
             "report", *self.SMALL, "--paradigm", "pipelined-ec",
             "--iterations", "1",
         ]) == 0
         assert "chunk autotuner" not in capsys.readouterr().out
+        assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
+        monkeypatch.undo()
+        assert _file_stamps(Path.cwd()) == start
 
     def test_simulate_without_export_flags_writes_nothing(self, tmp_path,
+                                                          monkeypatch,
                                                           capsys):
+        monkeypatch.chdir(tmp_path)
         assert main(["simulate", *self.SMALL]) == 0
         assert "written" not in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
@@ -477,3 +488,11 @@ class TestServeCommand:
     def test_bench_accepts_serving_suite(self):
         args = build_parser().parse_args(["bench", "--suite", "serving"])
         assert args.suite == "serving"
+
+
+def _file_stamps(directory: Path) -> dict:
+    """Name -> (size, modification time) of the files in ``directory``."""
+    return {
+        path.name: (path.stat().st_size, path.stat().st_mtime_ns)
+        for path in directory.iterdir() if path.is_file()
+    }

@@ -60,13 +60,15 @@ def reference_compute(fabric, gpu, seconds, grants=None):
     stream = streams.get(gpu)
     if stream is None:
         stream = streams[gpu] = Resource(env, capacity=1)
-    submitted = env.now
 
     def kernel():
         with stream.request() as slot:
+            # Queued behind a busy stream, even when the kernels ahead
+            # take zero time and the grant lands on the same instant.
+            queued = not slot.triggered
             yield slot
             if grants is not None:
-                grants.append(env.now > submitted)
+                grants.append(queued)
             duration = seconds
             if fabric.fault_injector is not None:
                 duration = fabric.fault_injector.compute_duration(

@@ -13,11 +13,13 @@ kernel against the pure-python filling loop.
 
 from contextlib import contextmanager
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim import FluidNetwork
-from repro.netsim import _waterfill
+from repro.netsim import _waterfill, fluid
 from repro.simkit import Environment
 
 
@@ -85,9 +87,39 @@ def _settle(env):
     env.run(until=env.now)
 
 
-def _run_schedule(schedule, coalesce):
+class _InstantLog(FluidNetwork):
+    """A network that logs its whole ledger at every rate assignment:
+    the instant, the armed ETA, and every row's remaining bytes, rate and
+    live bit plus every link's bytes, as raw IEEE-754 words (so ``-0.0``
+    and ``0.0`` differ)."""
+
+    def __init__(self, env, coalesce):
+        super().__init__(env, coalesce=coalesce)
+        self.instants = []
+        self.compactions = 0
+
+    def _assign_rates(self):
+        eta = super()._assign_rates()
+        n = self._n
+        self.instants.append((
+            self.env.now,
+            np.float64(eta).tobytes(),
+            self._remaining[:n].tobytes(),
+            self._rates[:n].tobytes(),
+            self._live[:n].tobytes(),
+            self._link_bytes[: self._num_links].tobytes(),
+        ))
+        return eta
+
+    def _compact(self):
+        self.compactions += 1
+        super()._compact()
+
+
+def _run_schedule(schedule, coalesce, record=False):
     """Replay one schedule; return (rate log, flow finish times, group
-    finish times, link bytes, total bytes completed).
+    finish times, link bytes, total bytes completed), plus the network's
+    instant log and compaction count when ``record`` is set.
 
     The rate log snapshots every active flow's rate and every live ledger
     row's rate (group members included, in row order) after each
@@ -96,7 +128,7 @@ def _run_schedule(schedule, coalesce):
     """
     links, ops, gaps = schedule
     env = Environment()
-    net = FluidNetwork(env, coalesce=coalesce)
+    net = (_InstantLog if record else FluidNetwork)(env, coalesce=coalesce)
     for link_id, bandwidth in links:
         net.add_link(link_id, bandwidth)
     flows = []
@@ -129,9 +161,12 @@ def _run_schedule(schedule, coalesce):
         _settle(env)
     finish_times = [flow.completed_at for flow in flows]
     link_bytes = {link_id: net.link_bytes[link_id] for link_id, _ in links}
-    return (
+    outcome = (
         rate_log, finish_times, groups, link_bytes, net.total_bytes_completed
     )
+    if record:
+        return outcome + (net.instants, net.compactions)
+    return outcome
 
 
 def _start_group(env, net, members):
@@ -176,9 +211,56 @@ def _python_solver():
 def test_compiled_kernel_equals_python_solver_exactly(schedule):
     if _waterfill.kernel() is None:
         return  # no C compiler on this host; the python path is the only one
-    compiled = _run_schedule(schedule, coalesce=True)
+    # Every row's remaining and rate, every link's bytes and the armed
+    # ETA, bit for bit at every instant — not only the end state.
+    compiled = _run_schedule(schedule, coalesce=True, record=True)
     with _python_solver():
-        plain = _run_schedule(schedule, coalesce=True)
+        plain = _run_schedule(schedule, coalesce=True, record=True)
+    assert compiled == plain
+
+
+def _churn_schedule():
+    """A fixed schedule past the compaction threshold: 160 flows of
+    staggered sizes over shared paths finish one cohort at a time, so
+    tombstones pile up until the ledger compacts, with capacity rescales
+    in flight."""
+    links = [(f"l{i}", 40.0 + 15.0 * i) for i in range(5)]
+    ops = []
+    for index in range(160):
+        path = [index % 5] if index % 3 else [index % 5, (index + 2) % 5]
+        ops.append(("arrive", path, 10.0 + (index * 37) % 113))
+        if index % 40 == 39:
+            ops.append(("rescale", index % 5, 25.0 + index % 7))
+    gaps = [0.0 if index % 4 else 0.05 for index in range(len(ops))]
+    return links, ops, gaps
+
+
+@pytest.mark.skipif(_waterfill.kernel() is None, reason="no C compiler")
+def test_compiled_kernel_equals_python_solver_through_compaction():
+    compiled = _run_schedule(_churn_schedule(), coalesce=True, record=True)
+    with _python_solver():
+        plain = _run_schedule(_churn_schedule(), coalesce=True, record=True)
+    assert compiled == plain
+    # The schedule really left tombstones in the ledger and compacted it.
+    *_, instants, compactions = compiled
+    assert any(0 in np.frombuffer(live, dtype=np.uint8)
+               for *_, live, _ in instants)
+    assert compactions > 0
+
+
+@pytest.mark.skipif(_waterfill.kernel() is None, reason="no C compiler")
+def test_compiled_kernel_equals_python_solver_under_cache_eviction(
+    monkeypatch,
+):
+    # A budget of a few rate arrays evicts the solve memo (and rewinds the
+    # compiled solver's arena) every few solves, and slabs of about one
+    # rate array make the arena skip to fresh slabs as the group table
+    # grows.
+    monkeypatch.setattr(fluid, "_SOLVE_CACHE_BUDGET", 64)
+    monkeypatch.setattr(_waterfill, "_SLAB_DOUBLES", 8)
+    compiled = _run_schedule(_churn_schedule(), coalesce=True, record=True)
+    with _python_solver():
+        plain = _run_schedule(_churn_schedule(), coalesce=True, record=True)
     assert compiled == plain
 
 
